@@ -170,16 +170,31 @@ impl NodeState {
     }
 
     /// Build the state of node `id` from a hierarchy layout.
+    ///
+    /// Counts the layout's rings per level on every call (O(rings)); whoever
+    /// builds every node of a layout computes
+    /// [`HierarchyLayout::level_ring_counts`] once and calls
+    /// [`NodeState::from_layout_with_counts`].
     pub fn from_layout(
         layout: &HierarchyLayout,
         id: NodeId,
         cfg: ProtocolConfig,
     ) -> crate::error::Result<Self> {
+        Self::from_layout_with_counts(layout, id, cfg, &layout.level_ring_counts())
+    }
+
+    /// [`NodeState::from_layout`] with the layout's
+    /// [`HierarchyLayout::level_ring_counts`] already computed.
+    pub fn from_layout_with_counts(
+        layout: &HierarchyLayout,
+        id: NodeId,
+        cfg: ProtocolConfig,
+        level_ring_counts: &[usize],
+    ) -> crate::error::Result<Self> {
         let placement = layout.placement(id)?;
         let ring_spec = layout.ring(placement.ring)?;
         let roster =
             RingRoster::new(ring_spec.id, ring_spec.tier, ring_spec.level, ring_spec.nodes.clone());
-        let height = layout.height();
         let mut children = BTreeMap::new();
         if let Some(cr) = placement.child_ring {
             let child_spec = layout.ring(cr)?;
@@ -191,14 +206,13 @@ impl NodeState {
                 .ok_or(crate::error::RgbError::EmptyRing(cr))?;
             children.insert(cr, ChildLink { leader, ok: true });
         }
-        let level_ring_counts = (0..height).map(|l| layout.rings_at(l).count()).collect();
         Ok(NodeState {
             cfg,
             gid: layout.gid,
             id,
             tier: placement.tier,
             level: placement.level,
-            height,
+            height: level_ring_counts.len(),
             roster,
             parent: placement.parent_node,
             parent_ring: placement.parent_ring,
@@ -210,7 +224,7 @@ impl NodeState {
             neighbor_members: MemberList::new(),
             mq: MessageQueue::new(),
             stats: NodeStats::default(),
-            level_ring_counts,
+            level_ring_counts: level_ring_counts.to_vec(),
             has_token: false,
             last_token_seq: 0,
             inflight: None,
@@ -405,6 +419,35 @@ mod tests {
         let layout = layout_h3_r3();
         let n = NodeState::from_layout(&layout, NodeId(0), ProtocolConfig::default()).unwrap();
         assert_eq!(n.level_ring_counts, vec![1, 3, 9]);
+        assert_eq!(n.height, 3);
+    }
+
+    #[test]
+    fn level_ring_counts_match_an_irregular_layout() {
+        // One root ring of three; two of its nodes sponsor a ring (sizes 2
+        // and 4); three of those six sponsor a bottom ring.
+        let ids = |r: std::ops::Range<u64>| r.map(NodeId).collect::<Vec<_>>();
+        let layout = HierarchyLayout::custom(
+            GroupId(1),
+            vec![
+                vec![ids(0..3)],
+                vec![ids(10..12), ids(12..16)],
+                vec![ids(20..21), ids(21..24), ids(24..26)],
+            ],
+        )
+        .unwrap();
+        let counts = layout.level_ring_counts();
+        assert_eq!(counts, vec![1, 2, 3]);
+        for id in [NodeId(0), NodeId(13), NodeId(25)] {
+            let direct = NodeState::from_layout(&layout, id, ProtocolConfig::default()).unwrap();
+            let shared =
+                NodeState::from_layout_with_counts(&layout, id, ProtocolConfig::default(), &counts)
+                    .unwrap();
+            assert_eq!(direct.level_ring_counts, counts);
+            assert_eq!(direct.height, layout.height());
+            assert_eq!(direct.digest(), shared.digest());
+            assert_eq!(shared.level_ring_counts, counts);
+        }
     }
 
     #[test]

@@ -194,8 +194,7 @@ impl NodeState {
             let mut token = Token::fresh(self.gid, self.ring_id(), seq, self.id, ops);
             token.note_visit(self.id);
             self.stats.rounds_started += 1;
-            let ops_snapshot = token.ops.clone();
-            self.execute_records(&ops_snapshot, outs);
+            self.execute_records(&token.ops, outs);
             if self.roster.len() <= 1 {
                 // Single-node ring: the round completes immediately.
                 self.finish_round(&token, outs);
@@ -290,8 +289,7 @@ impl NodeState {
         self.last_token_seq = token.seq;
         self.ring_ok = true;
         // "Execute Token.OP on CurNode" (Figure 3 line 08).
-        let ops_snapshot = token.ops.clone();
-        self.execute_records(&ops_snapshot, outs);
+        self.execute_records(&token.ops, outs);
         token.note_visit(self.id);
         if !self.mq.is_empty() {
             token.note_pending(self.id);

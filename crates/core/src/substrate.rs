@@ -16,12 +16,23 @@
 //! with [`crate::node::NodeState::handle_into`]: hot loops keep one buffer
 //! alive across inputs instead of allocating a fresh `Vec<Output>` per
 //! input.
+//!
+//! ## Hot-path layout
+//!
+//! Frames are pooled, and still encoded and decoded once per delivery.
+//! [`apply_outputs`] asks the substrate for a buffer
+//! ([`Substrate::frame_buf`]), [`wire::encode_into`]s the envelope into it
+//! and hands the frozen frame to [`Substrate::send_frame`]; a substrate
+//! that owns its receive path returns each decoded frame to a [`FramePool`]
+//! and serves `frame_buf` from it, so in steady state a send allocates
+//! neither the byte buffer nor the `Arc` behind [`Bytes`]. A substrate that
+//! does not care inherits the default (a fresh buffer per send).
 
 use crate::events::{AppEvent, Output, TimerKind};
 use crate::ids::{GroupId, NodeId};
 use crate::message::{Envelope, MsgLabel};
 use crate::wire;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 
 /// A reusable buffer of protocol outputs.
 ///
@@ -56,6 +67,60 @@ pub trait Substrate {
 
     /// Deliver an application event raised at `node`.
     fn deliver_app(&mut self, node: NodeId, event: AppEvent);
+
+    /// A buffer for [`apply_outputs`] to encode the next frame into; its
+    /// contents are overwritten. The default allocates per frame; substrates
+    /// with a [`FramePool`] hand out a recycled one.
+    fn frame_buf(&mut self) -> BytesMut {
+        BytesMut::new()
+    }
+}
+
+/// A bounded free-list of frame buffers: what a substrate's receive path
+/// returns after decoding a frame, its [`Substrate::frame_buf`] hands out
+/// for the next send.
+///
+/// Both bounds are constants, not knobs: a pool fills up to the gap between
+/// the peak and the current number of frames in flight, so a few dozen
+/// buffers cover the steady state, while an unbounded pool would pin a
+/// storm's peak buffer count (and its largest frames) for the rest of the
+/// run.
+#[derive(Debug, Default)]
+pub struct FramePool {
+    free: Vec<BytesMut>,
+}
+
+impl FramePool {
+    /// Most buffers kept.
+    pub const MAX_BUFFERS: usize = 64;
+    /// Largest buffer capacity kept; bigger ones (snapshot-sized frames)
+    /// are freed as before.
+    pub const MAX_BUFFER_BYTES: usize = 512;
+
+    /// A recycled buffer, or a new empty one when the pool has run dry.
+    #[inline]
+    pub fn get(&mut self) -> BytesMut {
+        self.free.pop().unwrap_or_default()
+    }
+
+    /// Take back a frame that has been decoded. A frame still shared with a
+    /// clone (a duplicated delivery whose twin is in flight) is simply
+    /// dropped; whichever handle is decoded last is the unique one.
+    #[inline]
+    pub fn recycle(&mut self, frame: Bytes) {
+        if self.free.len() >= Self::MAX_BUFFERS {
+            return;
+        }
+        match frame.try_into_mut() {
+            Ok(buf) if buf.capacity() <= Self::MAX_BUFFER_BYTES => self.free.push(buf),
+            _ => {}
+        }
+    }
+
+    /// The buffers currently pooled.
+    pub fn buffers(&self) -> &[BytesMut] {
+        &self.free
+    }
 }
 
 /// Interpret a batch of protocol outputs against a substrate.
@@ -75,8 +140,9 @@ pub fn apply_outputs<S: Substrate + ?Sized>(
         match out {
             Output::Send { to, msg } => {
                 let label = msg.label_kind();
-                let frame = wire::encode(&Envelope { gid, msg });
-                substrate.send_frame(node, to, label, frame);
+                let mut buf = substrate.frame_buf();
+                wire::encode_into(&Envelope { gid, msg }, &mut buf);
+                substrate.send_frame(node, to, label, buf.freeze());
             }
             Output::SetTimer { kind, after } => substrate.arm_timer(node, kind, after),
             Output::CancelTimer { kind } => substrate.cancel_timer(node, kind),
@@ -145,6 +211,37 @@ mod tests {
         assert_eq!(rec.cancelled, vec![(NodeId(7), TimerKind::TokenKick)]);
         assert_eq!(rec.apps.len(), 1);
         assert!(matches!(rec.apps[0], (NodeId(7), AppEvent::ParentLost { ring: RingId(4) })));
+    }
+
+    #[test]
+    fn frame_pool_reuses_the_allocation_and_stays_bounded() {
+        let env = Envelope { gid: GroupId(1), msg: Msg::TokenAck { ring: RingId(0), seq: 1 } };
+        let mut pool = FramePool::default();
+        let mut buf = pool.get();
+        wire::encode_into(&env, &mut buf);
+        let (at, cap) = (buf.as_ptr(), buf.capacity());
+        pool.recycle(buf.freeze());
+        let again = pool.get();
+        assert_eq!((again.as_ptr(), again.capacity()), (at, cap), "same allocation handed back");
+        assert!(pool.buffers().is_empty());
+
+        // A frame whose twin is still alive is not reclaimed; the last
+        // handle is.
+        let frame = wire::encode(&env);
+        let twin = frame.clone();
+        pool.recycle(frame);
+        assert!(pool.buffers().is_empty(), "shared frame must not be pooled");
+        pool.recycle(twin);
+        assert_eq!(pool.buffers().len(), 1);
+
+        // Count and capacity bounds.
+        for _ in 0..2 * FramePool::MAX_BUFFERS {
+            pool.recycle(wire::encode(&env));
+        }
+        assert_eq!(pool.buffers().len(), FramePool::MAX_BUFFERS);
+        let mut pool = FramePool::default();
+        pool.recycle(Bytes::from(Vec::with_capacity(FramePool::MAX_BUFFER_BYTES + 1)));
+        assert!(pool.buffers().is_empty(), "oversized buffer must not be pooled");
     }
 
     #[test]

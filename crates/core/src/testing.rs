@@ -40,9 +40,10 @@ impl Loopback {
     /// Build a loopback over every node of `layout`, all using `cfg`.
     pub fn from_layout(layout: &HierarchyLayout, cfg: &ProtocolConfig) -> Self {
         let mut nodes = BTreeMap::new();
+        let ring_counts = layout.level_ring_counts();
         for &id in layout.nodes.keys() {
-            let state =
-                NodeState::from_layout(layout, id, cfg.clone()).expect("layout node constructs");
+            let state = NodeState::from_layout_with_counts(layout, id, cfg.clone(), &ring_counts)
+                .expect("layout node constructs");
             nodes.insert(id, state);
         }
         Loopback {

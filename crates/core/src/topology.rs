@@ -273,6 +273,13 @@ impl HierarchyLayout {
         self.rings.iter().map(|r| r.level + 1).max().unwrap_or(0)
     }
 
+    /// Number of rings at each level, topmost first (`height()` entries).
+    /// One pass over all rings per level: compute it once per layout, not
+    /// once per node.
+    pub fn level_ring_counts(&self) -> Vec<usize> {
+        (0..self.height()).map(|l| self.rings_at(l).count()).collect()
+    }
+
     /// The topmost ring.
     pub fn root_ring(&self) -> &RingSpec {
         &self.rings[0]

@@ -16,7 +16,7 @@ use crate::message::{
 use crate::token::Token;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// Conservative wire-size estimate for one message, so [`encode`] can
+/// Conservative wire-size estimate for one message, so [`encode_into`] can
 /// reserve the whole buffer up front: the encoder is on the simulator's
 /// per-send hot path, where growth reallocations for token/membership
 /// payloads are measurable. Over-estimation only wastes a few transient
@@ -42,10 +42,18 @@ fn size_hint(msg: &Msg) -> usize {
 
 /// Encode an envelope into a fresh buffer.
 pub fn encode(env: &Envelope) -> Bytes {
-    let mut buf = BytesMut::with_capacity(size_hint(&env.msg));
-    buf.put_u32_le(env.gid.0);
-    put_msg(&mut buf, &env.msg);
+    let mut buf = BytesMut::new();
+    encode_into(env, &mut buf);
     buf.freeze()
+}
+
+/// Encode an envelope into `buf`, replacing whatever it held: the bytes are
+/// exactly those of [`encode`], the allocation is the caller's to reuse.
+pub fn encode_into(env: &Envelope, buf: &mut BytesMut) {
+    buf.clear();
+    buf.reserve(size_hint(&env.msg));
+    buf.put_u32_le(env.gid.0);
+    put_msg(buf, &env.msg);
 }
 
 /// Decode an envelope from a buffer produced by [`encode`].
@@ -134,12 +142,36 @@ fn put_nodes(buf: &mut BytesMut, v: &[NodeId]) {
     }
 }
 
-fn get_nodes(buf: &mut &[u8]) -> Result<Vec<NodeId>> {
+/// Read a `u32` element count and check it against what is left of the
+/// frame: a list of `n` elements of at least `min_bytes` each cannot be
+/// longer than `remaining / min_bytes`, so a count that passes is safe to
+/// pre-allocate for.
+fn get_count(buf: &mut &[u8], min_bytes: usize, too_long: &'static str) -> Result<usize> {
     let n = get_u32(buf)? as usize;
-    if n > buf.remaining() / 8 {
-        return Err(RgbError::Decode("node list too long"));
+    if n > buf.remaining() / min_bytes {
+        return Err(RgbError::Decode(too_long));
     }
-    (0..n).map(|_| Ok(NodeId(get_u64(buf)?))).collect()
+    Ok(n)
+}
+
+/// Read a counted list of elements of at least `min_bytes` each, sized
+/// once from the checked count.
+fn get_list<T>(
+    buf: &mut &[u8],
+    min_bytes: usize,
+    too_long: &'static str,
+    get: impl Fn(&mut &[u8]) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = get_count(buf, min_bytes, too_long)?;
+    let mut items = Vec::with_capacity(n);
+    for _ in 0..n {
+        items.push(get(buf)?);
+    }
+    Ok(items)
+}
+
+fn get_nodes(buf: &mut &[u8]) -> Result<Vec<NodeId>> {
+    get_list(buf, 8, "node list too long", |buf| Ok(NodeId(get_u64(buf)?)))
 }
 
 // ---------------------------------------------------------------------
@@ -178,10 +210,7 @@ fn put_member_list(buf: &mut BytesMut, l: &MemberList) {
 }
 
 fn get_member_list(buf: &mut &[u8]) -> Result<MemberList> {
-    let n = get_u32(buf)? as usize;
-    if n > buf.remaining() / 25 {
-        return Err(RgbError::Decode("member list too long"));
-    }
+    let n = get_count(buf, 25, "member list too long")?;
     let mut l = MemberList::new();
     for _ in 0..n {
         l.upsert(get_member_info(buf)?);
@@ -293,12 +322,13 @@ fn put_records(buf: &mut BytesMut, rs: &[ChangeRecord]) {
     }
 }
 
+/// Smallest encoded [`ChangeRecord`]: change id (16), origin (8), origin
+/// ring (4), absent child ring (1), descending flag (1) and the shortest
+/// [`ChangeOp`] (tag + one `u64`, 9).
+const MIN_RECORD_BYTES: usize = 39;
+
 fn get_records(buf: &mut &[u8]) -> Result<Vec<ChangeRecord>> {
-    let n = get_u32(buf)? as usize;
-    if n > buf.remaining() {
-        return Err(RgbError::Decode("record list too long"));
-    }
-    (0..n).map(|_| get_record(buf)).collect()
+    get_list(buf, MIN_RECORD_BYTES, "record list too long", get_record)
 }
 
 fn put_token(buf: &mut BytesMut, t: &Token) {
@@ -489,11 +519,7 @@ fn get_msg(buf: &mut &[u8]) -> Result<Msg> {
         3 => {
             let ring = RingId(get_u32(buf)?);
             let seq = get_u64(buf)?;
-            let n = get_u32(buf)? as usize;
-            if n > buf.remaining() / 16 {
-                return Err(RgbError::Decode("ack list too long"));
-            }
-            let change_ids = (0..n).map(|_| get_change_id(buf)).collect::<Result<_>>()?;
+            let change_ids = get_list(buf, 16, "ack list too long", get_change_id)?;
             Msg::HolderAck { ring, seq, change_ids }
         }
         4 => Msg::HeartbeatUp(get_summary(buf)?),
@@ -551,11 +577,7 @@ fn get_msg(buf: &mut &[u8]) -> Result<Msg> {
             let last_token_seq = get_u64(buf)?;
             let parent = get_opt_node(buf)?;
             let parent_ring = get_opt_ring(buf)?;
-            let n = get_u32(buf)? as usize;
-            if n > buf.remaining() / 4 {
-                return Err(RgbError::Decode("ring-count list too long"));
-            }
-            let level_ring_counts = (0..n).map(|_| get_u32(buf)).collect::<Result<_>>()?;
+            let level_ring_counts = get_list(buf, 4, "ring-count list too long", get_u32)?;
             Msg::RingSync(Box::new(RingSnapshot {
                 ring,
                 level,
@@ -742,12 +764,131 @@ mod tests {
 
     #[test]
     fn decode_rejects_absurd_lengths() {
-        // MqInsert claiming 4 billion records
+        // Every counted list, as (bytes up to its count field, smallest
+        // encoded element). An envelope is gid (u32) + msg tag (u8) + body.
+        fn prefix(tag: u8, body: impl FnOnce(&mut BytesMut)) -> BytesMut {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(1);
+            buf.put_u8(tag);
+            body(&mut buf);
+            buf
+        }
+        fn token_head(buf: &mut BytesMut) {
+            buf.put_u32_le(1); // gid
+            buf.put_u32_le(0); // ring
+            buf.put_u64_le(1); // seq
+            buf.put_u64_le(0); // holder
+        }
+        fn summary_head(buf: &mut BytesMut) {
+            buf.put_u32_le(0); // ring
+            buf.put_u8(1); // ring_ok
+            buf.put_u64_le(0); // leader
+        }
+        fn sync_head(buf: &mut BytesMut) {
+            buf.put_u32_le(0); // ring
+            buf.put_u8(0); // level
+            buf.put_u8(1); // height
+        }
+        let lists: Vec<(&str, BytesMut, usize)> = vec![
+            (
+                "MqInsert records",
+                prefix(2, |b| b.put_u8(0)), // Local
+                MIN_RECORD_BYTES,
+            ),
+            ("Token ops", prefix(0, token_head), MIN_RECORD_BYTES),
+            (
+                "Token pending",
+                prefix(0, |b| {
+                    token_head(b);
+                    b.put_u32_le(0); // ops
+                }),
+                8,
+            ),
+            (
+                "Token visited",
+                prefix(0, |b| {
+                    token_head(b);
+                    b.put_u32_le(0); // ops
+                    b.put_u32_le(0); // pending
+                }),
+                8,
+            ),
+            (
+                "HolderAck ids",
+                prefix(3, |b| {
+                    b.put_u32_le(0); // ring
+                    b.put_u64_le(1); // seq
+                }),
+                16,
+            ),
+            ("HeartbeatUp roster", prefix(4, summary_head), 8),
+            ("HeartbeatDown roster", prefix(5, summary_head), 8),
+            (
+                "QueryResponse members",
+                prefix(9, |b| {
+                    b.put_u64_le(0); // qid.origin
+                    b.put_u64_le(0); // qid.seq
+                }),
+                25,
+            ),
+            ("RingSync roster", prefix(12, sync_head), 8),
+            (
+                "RingSync members",
+                prefix(12, |b| {
+                    sync_head(b);
+                    b.put_u32_le(0); // roster
+                }),
+                25,
+            ),
+            (
+                "RingSync level counts",
+                prefix(12, |b| {
+                    sync_head(b);
+                    b.put_u32_le(0); // roster
+                    b.put_u32_le(0); // members
+                    b.put_u64_le(0); // epoch
+                    b.put_u64_le(0); // last_token_seq
+                    b.put_u8(0); // no parent
+                    b.put_u8(0); // no parent ring
+                }),
+                4,
+            ),
+            ("MergeRings roster", prefix(13, |b| b.put_u32_le(0)), 8),
+            (
+                "MergeRings members",
+                prefix(13, |b| {
+                    b.put_u32_le(0); // ring
+                    b.put_u32_le(0); // roster
+                }),
+                25,
+            ),
+        ];
+        let too_long =
+            |buf: &[u8]| matches!(decode(buf), Err(RgbError::Decode(m)) if m.ends_with("too long"));
+        for (what, head, min_bytes) in lists {
+            // A count of four billion with nothing behind it.
+            let mut buf = head.clone();
+            buf.put_u32_le(u32::MAX);
+            assert!(too_long(&buf), "{what}: u32::MAX elements accepted");
+            // A count one element beyond what the bytes behind it could
+            // hold: it must be refused before anything is allocated for it.
+            let mut buf = head;
+            buf.put_u32_le(8);
+            buf.put_slice(&vec![0u8; 8 * min_bytes - 1]);
+            assert!(too_long(&buf), "{what}: 8 elements in {} bytes accepted", 8 * min_bytes - 1);
+        }
+    }
+
+    #[test]
+    fn min_record_bytes_is_the_smallest_encoded_record() {
+        let rec = ChangeRecord::new(
+            ChangeId { origin: NodeId(1), seq: 0 },
+            NodeId(1),
+            RingId(0),
+            ChangeOp::MemberLeave { guid: Guid(4) },
+        );
         let mut buf = BytesMut::new();
-        buf.put_u32_le(1); // gid
-        buf.put_u8(2); // MqInsert
-        buf.put_u8(0); // Local
-        buf.put_u32_le(u32::MAX); // record count
-        assert!(decode(&buf).is_err());
+        put_record(&mut buf, &rec);
+        assert_eq!(buf.len(), MIN_RECORD_BYTES);
     }
 }

@@ -7,6 +7,7 @@
 //! routes every delivery through `rgb_core::wire` (like the live runtime
 //! always did), a codec asymmetry would corrupt *both* execution worlds.
 
+use bytes::BytesMut;
 use proptest::prelude::*;
 use rgb_core::prelude::*;
 use rgb_core::wire;
@@ -230,5 +231,29 @@ proptest! {
             bytes.as_ref(),
             "re-encoding is not byte-identical"
         );
+    }
+
+    /// `encode_into` a dirty buffer — one that held a longer frame, as a
+    /// pooled buffer does — writes exactly the bytes `encode` returns, and
+    /// does so again after the freeze → `try_into_mut` cycle the engines
+    /// put a buffer through.
+    #[test]
+    fn encode_into_a_dirty_buffer_equals_encode(
+        gid in 0u32..16,
+        msg in arb_msg(),
+        next in arb_msg(),
+        extra in proptest::collection::vec(any::<u8>(), 1..512),
+    ) {
+        let env = Envelope { gid: GroupId(gid), msg };
+        let fresh = wire::encode(&env);
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&fresh);
+        buf.extend_from_slice(&extra);
+        wire::encode_into(&env, &mut buf);
+        prop_assert_eq!(buf.as_ref(), fresh.as_ref(), "stale bytes leaked into the frame");
+        let mut buf = buf.freeze().try_into_mut().expect("sole handle");
+        let env = Envelope { gid: GroupId(gid), msg: next };
+        wire::encode_into(&env, &mut buf);
+        prop_assert_eq!(buf.as_ref(), wire::encode(&env).as_ref(), "reused buffer differs");
     }
 }

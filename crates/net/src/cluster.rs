@@ -57,6 +57,7 @@ impl Cluster {
         // before a single thread exists.
         let mut specs: Vec<(Vec<NodeState>, Receiver<ToWorker>)> = Vec::new();
         let mut worker_txs = Vec::new();
+        let ring_counts = layout.level_ring_counts();
         for rings in layout.partition_rings(workers) {
             let (tx, rx) = bounded(live.mailbox_capacity);
             let mut states = Vec::new();
@@ -70,8 +71,12 @@ impl Cluster {
                     .nodes
                     .clone();
                 for id in members {
-                    let state = NodeState::from_layout(&layout, id, cfg.clone())
-                        .map_err(|e| NetError::InvalidLayout { node: id, reason: e.to_string() })?;
+                    let state =
+                        NodeState::from_layout_with_counts(&layout, id, cfg.clone(), &ring_counts)
+                            .map_err(|e| NetError::InvalidLayout {
+                                node: id,
+                                reason: e.to_string(),
+                            })?;
                     router.register(id, tx.clone());
                     states.push(state);
                 }

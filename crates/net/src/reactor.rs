@@ -18,7 +18,8 @@
 //! reuses one [`OutputSink`] buffer so no `Vec<Output>` is allocated per
 //! input. Frames between nodes — same worker or not — always go through
 //! the [`Router`] and the binary wire codec, so the wire format stays
-//! exercised end-to-end.
+//! exercised end-to-end; the worker that decodes a frame keeps its buffer
+//! in a bounded [`FramePool`] for its own next sends.
 
 use crate::error::NetError;
 use crate::transport::{Router, SendOutcome, ToWorker};
@@ -30,7 +31,7 @@ use rgb_core::message::{Msg, MsgLabel};
 use rgb_core::node::NodeState;
 use rgb_core::obs::LevelHistograms;
 use rgb_core::prelude::{GroupId, NodeId};
-use rgb_core::substrate::{apply_outputs, OutputSink, Substrate};
+use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate};
 use rgb_core::wire;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -370,6 +371,7 @@ struct ReactorSubstrate<'a> {
     ring_repair_started: &'a mut u64,
     reattach_started: &'a mut u64,
     query_started: &'a mut u64,
+    frames: &'a mut FramePool,
     /// The hosted node's ring level (latency surface index).
     level: u8,
     local: u32,
@@ -437,6 +439,10 @@ impl Substrate for ReactorSubstrate<'_> {
             Err(TrySendError::Disconnected(_)) => {}
         }
     }
+
+    fn frame_buf(&mut self) -> bytes::BytesMut {
+        self.frames.get()
+    }
 }
 
 /// One reactor worker: the nodes it hosts, its mailbox and its wheel.
@@ -454,6 +460,8 @@ pub(crate) struct Worker {
     index: HashMap<NodeId, usize>,
     wheel: TimerWheel,
     outs: OutputSink,
+    /// Buffers of the frames this worker decoded, reused by its sends.
+    frames: FramePool,
 }
 
 /// Everything a worker thread needs at spawn time.
@@ -499,6 +507,7 @@ impl Worker {
             index,
             wheel: TimerWheel::new(),
             outs: OutputSink::new(),
+            frames: FramePool::default(),
         }
     }
 
@@ -519,7 +528,8 @@ impl Worker {
     /// destructuring split lets the node's state, the wheel and the reused
     /// output sink borrow simultaneously.
     fn drive(&mut self, i: usize, input: Input) {
-        let Worker { gid, tick, start, router, events, shared, nodes, wheel, outs, .. } = self;
+        let Worker { gid, tick, start, router, events, shared, nodes, wheel, outs, frames, .. } =
+            self;
         let Some(node) = nodes[i].as_mut() else { return };
         let id = node.state.id;
         let tick_ns = tick.as_nanos().max(1);
@@ -537,6 +547,7 @@ impl Worker {
             ring_repair_started: &mut node.ring_repair_started,
             reattach_started: &mut node.reattach_started,
             query_started: &mut node.query_started,
+            frames,
             level,
             local: i as u32,
             now,
@@ -581,6 +592,7 @@ impl Worker {
                         }
                     }
                 }
+                self.frames.recycle(frame);
             }
             ToWorker::Mh { ap, event } => {
                 if let Some(&i) = self.index.get(&ap) {

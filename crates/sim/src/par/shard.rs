@@ -24,9 +24,10 @@ use crate::par::partition::ShardMap;
 use crate::queue::{Event, EventKey, EventKind, EventQueue, QueueKind, TimerSlot};
 use crate::rng::SplitMix64;
 use crate::sim::{MemoryStats, EXT_SRC, EXT_STREAM_SALT, NODE_STREAM_SALT, NO_QUERY};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
+use rgb_core::substrate::FramePool;
 use rgb_core::topology::{HierarchyLayout, NodeIdx, NodeIndexer};
 use rgb_core::wire;
 use std::sync::Arc;
@@ -64,6 +65,9 @@ pub(crate) struct Shard {
     /// Severed NE pairs this shard owns an endpoint of.
     partitioned: Vec<(NodeId, NodeId)>,
     out_buf: OutputSink,
+    /// Delivered frames' buffers, reused by the next sends. A cross-shard
+    /// frame is recycled by the shard that decodes it.
+    pub(crate) frames: FramePool,
     /// Events this shard processed (throughput accounting).
     pub processed: u64,
     /// Staged cross-shard events, by destination shard; flushed into the
@@ -102,9 +106,13 @@ impl Shard {
     ) -> Self {
         let globals: Vec<NodeIdx> = map.members[id].clone();
         let node_ids: Vec<NodeId> = globals.iter().map(|&g| indexer.id_of(g)).collect();
+        let ring_counts = layout.level_ring_counts();
         let nodes: Vec<NodeState> = node_ids
             .iter()
-            .map(|&nid| NodeState::from_layout(layout, nid, cfg.clone()).expect("valid layout"))
+            .map(|&nid| {
+                NodeState::from_layout_with_counts(layout, nid, cfg.clone(), &ring_counts)
+                    .expect("valid layout")
+            })
             .collect();
         let rngs = node_ids
             .iter()
@@ -133,6 +141,7 @@ impl Shard {
             metrics: Metrics::default(),
             partitioned: Vec::new(),
             out_buf: OutputSink::new(),
+            frames: FramePool::default(),
             processed: 0,
             outbox: vec![Vec::new(); map.shards],
             spare: Vec::new(),
@@ -260,6 +269,7 @@ impl Shard {
                 if !crashed {
                     self.deliver_frame(from, to, &frame);
                 }
+                self.frames.recycle(frame);
             }
             EventKind::Timer { node, kind, gen } => {
                 let local = node.as_usize();
@@ -555,5 +565,9 @@ impl Substrate for Shard {
         } else {
             self.metrics.app_events_dropped += 1;
         }
+    }
+
+    fn frame_buf(&mut self) -> BytesMut {
+        self.frames.get()
     }
 }

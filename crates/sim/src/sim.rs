@@ -27,7 +27,12 @@
 //! - timers are generation-stamped slots drained through a bucketed timer
 //!   wheel (the crate-private `queue` module), so re-armed periodic
 //!   timers stop
-//!   accumulating stale heap entries.
+//!   accumulating stale heap entries;
+//! - frames are pooled, and still encoded and decoded once per delivery:
+//!   [`Simulation::step`] returns each delivered frame to a bounded
+//!   [`FramePool`] and the next send encodes into a buffer taken from it
+//!   ([`Substrate::frame_buf`]), so in steady state the wire round trip
+//!   allocates nothing.
 //!
 //! ## Execution-order-independent determinism
 //!
@@ -53,10 +58,11 @@ use crate::network::{LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 use crate::obs::EngineObs;
 use crate::queue::{Event, EventKey, EventKind, EventQueue};
 use crate::rng::SplitMix64;
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
 use rgb_core::obs::{ObsRecord, TraceSink};
 use rgb_core::prelude::*;
+use rgb_core::substrate::FramePool;
 use rgb_core::topology::HierarchyLayout;
 use rgb_core::wire;
 use std::collections::{BTreeMap, BTreeSet};
@@ -200,6 +206,8 @@ pub struct Simulation {
     partitioned: Vec<(NodeId, NodeId)>,
     /// Reusable output buffer for the hot loop (no per-input allocation).
     out_buf: OutputSink,
+    /// Delivered frames' buffers, reused by the next sends.
+    pub(crate) frames: FramePool,
     /// Observability tracking (disabled by default; see
     /// [`Simulation::enable_obs`]).
     obs: EngineObs,
@@ -306,6 +314,10 @@ impl Substrate for Simulation {
             self.metrics.app_events_dropped += 1;
         }
     }
+
+    fn frame_buf(&mut self) -> BytesMut {
+        self.frames.get()
+    }
 }
 
 impl Simulation {
@@ -334,9 +346,13 @@ impl Simulation {
     ) -> Self {
         let indexer = layout.indexer();
         let n = indexer.len();
+        let ring_counts = layout.level_ring_counts();
         let nodes: Vec<NodeState> = indexer
             .iter()
-            .map(|(_, id)| NodeState::from_layout(&layout, id, cfg.clone()).expect("valid layout"))
+            .map(|(_, id)| {
+                NodeState::from_layout_with_counts(&layout, id, cfg.clone(), &ring_counts)
+                    .expect("valid layout")
+            })
             .collect();
         let classes = LinkClassMatrix::new(&layout, &indexer);
         // Streams are keyed by the stable NodeId (not the dense index), so
@@ -373,6 +389,7 @@ impl Simulation {
             wireless: WirelessHop::new(seed),
             partitioned: Vec::new(),
             out_buf: OutputSink::new(),
+            frames: FramePool::default(),
             obs,
         }
     }
@@ -541,6 +558,7 @@ impl Simulation {
                 if !crashed {
                     self.deliver_frame(from, to, &frame);
                 }
+                self.frames.recycle(frame);
             }
             EventKind::Timer { node, kind, gen } => {
                 // Only fire if this is still the live generation of the

@@ -2,8 +2,8 @@
 //! through the sequential engine and a shard-count sweep of the
 //! conservative-parallel engine (`rgb_sim::par`), reporting **events/sec**
 //! (median of N runs), speedup vs sequential, per-pair lookahead range,
-//! window/batching counters and bytes/node, written as `BENCH_scale.json`
-//! (schema `rgb-bench/scale-v2`).
+//! window/batching counters, bytes/node and peak RSS per mode, written as
+//! `BENCH_scale.json` (schema `rgb-bench/scale-v2`).
 //!
 //! ```text
 //! cargo run --release -p rgb-bench --bin bench_scale -- \
@@ -38,6 +38,18 @@
 //!   obs pass is a separate run.
 //! - `--budget-secs` fails the run if the whole sweep (digest check
 //!   included) exceeds the budget — the CI job's time box.
+//! - Every mode records `peak_rss_bytes`: the process's `VmHWM` after the
+//!   mode's runs, the watermark reset before them (`null` where `/proc`
+//!   does not offer it). `bytes_per_node` is what the engine *accounts*
+//!   for; this is what it *costs*, allocator slack and retained capacity
+//!   included. The `--smoke` tier fails when the sequential mode's peak
+//!   exceeds `SMOKE_PEAK_RSS_PER_NODE` bytes per NE, so memory that grows
+//!   with run time rather than with the world (a queue that never
+//!   shrinks) cannot come back unnoticed.
+//! - Every mode also records its `event_mix` from the engine's counters:
+//!   live timer expiries by kind, stale timer pops and the remainder
+//!   (frame deliveries plus scheduled events). Events/sec counts all of
+//!   them alike; the mix says what they were.
 //!
 //! Speedup is hardware-honest: the report embeds `cores` (what the OS
 //! grants this process), and when `cores == 1` every `speedup_vs_seq` is
@@ -48,11 +60,35 @@ use rgb_core::obs::{FlightRecorder, TraceSink};
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::{
-    obs_json, prometheus_text, ChurnParams, LatencyBand, NetConfig, ObsReport, ParStats, Scenario,
-    Simulation, Timeline,
+    obs_json, prometheus_text, ChurnParams, LatencyBand, Metrics, NetConfig, ObsReport, ParStats,
+    Scenario, Simulation, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
+
+/// Peak-RSS ceiling of the `--smoke` tier, bytes per NE, held against the
+/// sequential mode: it runs first, so its watermark is the engine's own and
+/// not earlier modes' freed-but-retained heap. The 20,439-NE smoke scenario
+/// peaks at ~3,600 B per NE; the ceiling leaves 20 % for allocator and
+/// runner differences and is below the ~4,900 B the same 3,000 ticks cost
+/// while the timer wheel kept every bucket's high-water capacity (a cost
+/// that grew with every further heartbeat period).
+const SMOKE_PEAK_RSS_PER_NODE: u64 = 4_300;
+
+/// The process's peak resident set (`VmHWM`) in bytes; `None` where
+/// `/proc/self/status` is missing or unreadable.
+fn peak_rss_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    Some(kb.trim().trim_end_matches("kB").trim().parse::<u64>().ok()? * 1024)
+}
+
+/// Reset the kernel's peak-RSS watermark to the current RSS, so the next
+/// [`peak_rss_bytes`] reading covers one mode only. Best effort: where the
+/// write is refused the reading stays the whole process's peak so far.
+fn reset_peak_rss() {
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+}
 
 /// One measured engine configuration: every wall time plus the medians.
 struct Measurement {
@@ -62,6 +98,10 @@ struct Measurement {
     median_ms: f64,
     events_per_sec: f64,
     bytes_per_node: usize,
+    /// `VmHWM` over this mode's runs (see [`peak_rss_bytes`]).
+    peak_rss_bytes: Option<u64>,
+    /// What the events were (see [`event_mix`]).
+    event_mix: String,
     /// `(global floor, max pair floor)` from the lookahead matrix.
     lookahead: Option<(u64, u64)>,
     par_stats: Option<ParStats>,
@@ -111,6 +151,25 @@ fn scale_scenario(ring: usize, duration: u64) -> Scenario {
     scenario.with_crashes(crashes)
 }
 
+/// The event mix of a run as a JSON object, from the engine's own
+/// counters: live timer expiries by kind, stale timer pops, and the rest —
+/// frame deliveries plus the scenario's scheduled events.
+fn event_mix(events: u64, metrics: &Metrics) -> String {
+    let mut out = String::from("{ ");
+    let mut timers = metrics.stale_timer_skips;
+    for (kind, fires) in metrics.timer_fires() {
+        timers += fires;
+        let _ = write!(out, "\"{kind}\": {fires}, ");
+    }
+    let _ = write!(
+        out,
+        "\"stale_timer_pops\": {}, \"deliveries_and_scheduled\": {} }}",
+        metrics.stale_timer_skips,
+        events.saturating_sub(timers)
+    );
+    out
+}
+
 /// Drive the sequential engine `runs` times; wall times are per-run, the
 /// event count is checked identical across runs (the engine is
 /// deterministic — a drift here is a bug, not noise).
@@ -118,6 +177,8 @@ fn run_seq(scenario: &Scenario, runs: usize) -> Measurement {
     let mut wall_ms = Vec::with_capacity(runs);
     let mut events = 0u64;
     let mut bytes_per_node = 0usize;
+    let mut mix = String::new();
+    reset_peak_rss();
     for run in 0..runs {
         let mut sim = scenario.build_sim();
         let start = Instant::now();
@@ -130,6 +191,7 @@ fn run_seq(scenario: &Scenario, runs: usize) -> Measurement {
         if run == 0 {
             events = n;
             bytes_per_node = sim.memory_stats().bytes_per_node();
+            mix = event_mix(n, &sim.metrics);
         } else {
             assert_eq!(n, events, "sequential engine must be deterministic across runs");
         }
@@ -142,6 +204,8 @@ fn run_seq(scenario: &Scenario, runs: usize) -> Measurement {
         median_ms,
         wall_ms,
         bytes_per_node,
+        peak_rss_bytes: peak_rss_bytes(),
+        event_mix: mix,
         lookahead: None,
         par_stats: None,
     }
@@ -154,6 +218,8 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
     let mut bytes_per_node = 0usize;
     let mut lookahead = (0u64, 0u64);
     let mut par_stats = ParStats::default();
+    let mut mix = String::new();
+    reset_peak_rss();
     for run in 0..runs {
         let mut sim = scenario.try_build_par(shards).expect("scenario validates");
         let booted = sim.processed_events();
@@ -166,6 +232,7 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
             bytes_per_node = sim.memory_stats().bytes_per_node();
             lookahead = sim.lookahead_range();
             par_stats = sim.par_stats();
+            mix = event_mix(n, &sim.metrics());
         } else {
             assert_eq!(n, events, "parallel engine must be deterministic across runs");
         }
@@ -178,6 +245,8 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
         median_ms,
         wall_ms,
         bytes_per_node,
+        peak_rss_bytes: peak_rss_bytes(),
+        event_mix: mix,
         lookahead: Some(lookahead),
         par_stats: Some(par_stats),
     }
@@ -307,6 +376,9 @@ fn render_json(
             }
         }
         let _ = write!(out, ", \"bytes_per_node\": {}", m.bytes_per_node);
+        let peak_rss = m.peak_rss_bytes.map_or("null".to_owned(), |b| b.to_string());
+        let _ = write!(out, ", \"peak_rss_bytes\": {peak_rss}");
+        let _ = write!(out, ", \"event_mix\": {}", m.event_mix);
         match m.lookahead {
             Some((lo, hi)) => {
                 let _ = write!(out, ", \"lookahead\": [{lo}, {hi}]");
@@ -411,12 +483,14 @@ fn main() {
             })
             .unwrap_or_default();
         eprintln!(
-            "  {:<8} {:>10} events  {:>9.1} ms median  {:>10.0} events/s  {:>6} B/node{}{}",
+            "  {:<8} {:>10} events  {:>9.1} ms median  {:>10.0} events/s  {:>6} B/node  peak RSS \
+             {} B/node{}{}",
             m.mode,
             m.events,
             m.median_ms,
             m.events_per_sec,
             m.bytes_per_node,
+            m.peak_rss_bytes.map_or("n/a".to_owned(), |b| (b / nodes as u64).to_string()),
             m.lookahead.map(|(lo, hi)| format!("  lookahead {lo}..{hi}")).unwrap_or_default(),
             stats,
         );
@@ -444,6 +518,18 @@ fn main() {
 
     if let Some(path) = &obs_out {
         run_obs(&scenario, 4, path);
+    }
+
+    if let (true, Some(peak)) = (smoke, runs[0].peak_rss_bytes) {
+        let per_node = peak / nodes as u64;
+        if per_node > SMOKE_PEAK_RSS_PER_NODE {
+            eprintln!(
+                "MEMORY CEILING EXCEEDED: seq peaked at {per_node} B/node > \
+                 {SMOKE_PEAK_RSS_PER_NODE} B/node"
+            );
+            std::process::exit(1);
+        }
+        eprintln!("memory ceiling: seq peaked at {per_node} of {SMOKE_PEAK_RSS_PER_NODE} B/node");
     }
 
     if let Some(gate) = min_speedup {

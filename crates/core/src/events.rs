@@ -36,6 +36,35 @@ pub enum TimerKind {
     },
 }
 
+impl TimerKind {
+    /// Number of timer kinds (payloads aside): the size of a fixed-slot
+    /// per-kind counter array.
+    pub const COUNT: usize = 6;
+
+    /// Metric names of the kinds, by [`TimerKind::index`].
+    pub const NAMES: [&'static str; Self::COUNT] = [
+        "token_retransmit",
+        "token_kick",
+        "token_lost",
+        "heartbeat",
+        "parent_timeout",
+        "child_timeout",
+    ];
+
+    /// Dense index of this kind, ignoring its payload.
+    #[inline]
+    pub fn index(&self) -> usize {
+        match self {
+            TimerKind::TokenRetransmit { .. } => 0,
+            TimerKind::TokenKick => 1,
+            TimerKind::TokenLost => 2,
+            TimerKind::Heartbeat => 3,
+            TimerKind::ParentTimeout => 4,
+            TimerKind::ChildTimeout { .. } => 5,
+        }
+    }
+}
+
 /// Everything a node can react to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Input {

@@ -240,7 +240,7 @@ impl NodeState {
             });
         }
         if token.holder == self.id {
-            if token.visited.is_empty() {
+            if token.hops == 0 {
                 // Holdership grant after a completed round elsewhere.
                 if token.seq <= self.last_token_seq {
                     return; // duplicate grant
@@ -669,15 +669,20 @@ impl NodeState {
             kind: TimerKind::Heartbeat,
             after: self.cfg.heartbeat_interval,
         });
-        if self.is_leader() {
-            if let Some(parent) = self.parent {
-                outs.push(Output::Send {
-                    to: parent,
-                    msg: Msg::HeartbeatUp(self.status_summary()),
-                });
-            }
+        // Most nodes lead no ring and sponsor none: their tick is the re-arm
+        // alone, so the summary (a roster copy) is built only for a recipient.
+        let parent = self.parent.filter(|_| self.is_leader());
+        if parent.is_none() && self.children.is_empty() {
+            return;
         }
         let summary = self.status_summary();
+        if let Some(parent) = parent {
+            if self.children.is_empty() {
+                outs.push(Output::Send { to: parent, msg: Msg::HeartbeatUp(summary) });
+                return;
+            }
+            outs.push(Output::Send { to: parent, msg: Msg::HeartbeatUp(summary.clone()) });
+        }
         for link in self.children.values() {
             outs.push(Output::Send { to: link.leader, msg: Msg::HeartbeatDown(summary.clone()) });
         }

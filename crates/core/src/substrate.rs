@@ -27,6 +27,13 @@
 //! and serves `frame_buf` from it, so in steady state a send allocates
 //! neither the byte buffer nor the `Arc` behind [`Bytes`]. A substrate that
 //! does not care inherits the default (a fresh buffer per send).
+//!
+//! The other thing every substrate keeps per node is which of the timer
+//! entries it queued are still live. [`TimerSet`] is that bookkeeping,
+//! shared by the sequential simulator, the parallel simulator's shards and
+//! the reactor's workers: generation-stamped slots stored inline in their
+//! owner, so the arm-on-forward / cancel-on-ack pair of every token hop
+//! allocates nothing and chases no pointer.
 
 use crate::events::{AppEvent, Output, TimerKind};
 use crate::ids::{GroupId, NodeId};
@@ -120,6 +127,129 @@ impl FramePool {
     /// The buffers currently pooled.
     pub fn buffers(&self) -> &[BytesMut] {
         &self.free
+    }
+}
+
+/// One generation-stamped live timer of a node. A substrate's timer queue
+/// may hold many entries for the same `(node, kind)`; only the one whose
+/// generation matches the slot fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TimerSlot {
+    kind: TimerKind,
+    gen: u64,
+}
+
+/// Live timers a node holds inline; the rare node with more kinds armed at
+/// once (a ring leader that also sponsors child rings, mid-round) spills.
+const INLINE_TIMERS: usize = 5;
+
+/// The live timers of one node — the bookkeeping behind
+/// [`Substrate::arm_timer`] / [`Substrate::cancel_timer`] that all three
+/// engines share: at most one slot per [`TimerKind`], stamped with the
+/// generation of its latest arm. A substrate queues `(kind, gen)` entries
+/// however it likes and never unqueues one; when an entry comes due,
+/// [`TimerSet::fire`] says whether it is still live or was superseded by a
+/// re-arm or a cancel.
+///
+/// The first five slots are stored in place, so arming, cancelling and
+/// firing touch the owner's own cache lines and no heap block; the rare
+/// node with more kinds armed at once spills into a `Vec`. Order carries no
+/// meaning (kinds and generations are both unique within a set), so removal
+/// is a swap-remove. The caller supplies generations and must not reuse one
+/// within a set.
+///
+/// Declaration order is layout order (`repr(C)`): the count sits in front of
+/// the slots it bounds, so a node with two or three timers reads the head of
+/// the set and not its tail.
+#[derive(Debug, Clone)]
+#[repr(C)]
+pub struct TimerSet {
+    len: u8,
+    inline: [TimerSlot; INLINE_TIMERS],
+    spill: Vec<TimerSlot>,
+}
+
+impl Default for TimerSet {
+    fn default() -> Self {
+        // Filler past `len` is never read.
+        let filler = TimerSlot { kind: TimerKind::Heartbeat, gen: 0 };
+        TimerSet { len: 0, inline: [filler; INLINE_TIMERS], spill: Vec::new() }
+    }
+}
+
+impl TimerSet {
+    /// Make `gen` the live generation of `kind` (re-arming supersedes the
+    /// kind's previous generation).
+    #[inline]
+    pub fn arm(&mut self, kind: TimerKind, gen: u64) {
+        let len = self.len as usize;
+        let mut live = self.inline[..len].iter_mut().chain(&mut self.spill);
+        match live.find(|s| s.kind == kind) {
+            Some(slot) => slot.gen = gen,
+            None if len < INLINE_TIMERS => {
+                self.inline[len] = TimerSlot { kind, gen };
+                self.len += 1;
+            }
+            None => self.spill.push(TimerSlot { kind, gen }),
+        }
+    }
+
+    /// Drop the live timer of `kind`, if any: its queued entry goes stale.
+    #[inline]
+    pub fn cancel(&mut self, kind: TimerKind) {
+        self.remove_where(|s| s.kind == kind);
+    }
+
+    /// A queued entry stamped `gen` came due: `true` (and the slot is
+    /// consumed) when it is still some kind's live generation, `false` when
+    /// a re-arm or cancel has superseded it.
+    #[inline]
+    pub fn fire(&mut self, gen: u64) -> bool {
+        self.remove_where(|s| s.gen == gen)
+    }
+
+    /// Drop every live timer (the node crashed).
+    pub fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
+
+    /// Live timers held.
+    pub fn len(&self) -> usize {
+        self.len as usize + self.spill.len()
+    }
+
+    /// Whether no timer is live.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes this set occupies: itself plus whatever spilled.
+    pub fn approx_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.spill.len() * std::mem::size_of::<TimerSlot>()
+    }
+
+    fn remove_where(&mut self, pred: impl Fn(&TimerSlot) -> bool) -> bool {
+        let len = self.len as usize;
+        if let Some(pos) = self.inline[..len].iter().position(&pred) {
+            // Refill the hole from the spill first, so the inline part stays
+            // full for as long as anything is spilled.
+            match self.spill.pop() {
+                Some(slot) => self.inline[pos] = slot,
+                None => {
+                    self.inline[pos] = self.inline[len - 1];
+                    self.len -= 1;
+                }
+            }
+            return true;
+        }
+        match self.spill.iter().position(pred) {
+            Some(pos) => {
+                self.spill.swap_remove(pos);
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -254,5 +384,89 @@ mod tests {
             assert!(sink.is_empty());
         }
         assert_eq!(rec.frames.len(), 3);
+    }
+
+    /// The plain `Vec<TimerSlot>` the simulation engines used to keep per node.
+    #[derive(Default)]
+    struct ModelTimers(Vec<TimerSlot>);
+
+    impl ModelTimers {
+        fn arm(&mut self, kind: TimerKind, gen: u64) {
+            match self.0.iter_mut().find(|s| s.kind == kind) {
+                Some(slot) => slot.gen = gen,
+                None => self.0.push(TimerSlot { kind, gen }),
+            }
+        }
+        fn cancel(&mut self, kind: TimerKind) {
+            if let Some(pos) = self.0.iter().position(|s| s.kind == kind) {
+                self.0.swap_remove(pos);
+            }
+        }
+        fn fire(&mut self, gen: u64) -> bool {
+            match self.0.iter().position(|s| s.gen == gen) {
+                Some(pos) => {
+                    self.0.swap_remove(pos);
+                    true
+                }
+                None => false,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The inline timer set gives the verdicts of the plain vector it
+        /// replaced — same fire/stale answer at every step, same live set —
+        /// over sequences that arm more kinds than fit inline.
+        #[test]
+        fn timer_set_matches_the_vec_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..9, 0usize..64), 0..200),
+        ) {
+            use proptest::prelude::*;
+            let kinds: Vec<TimerKind> = (0..3)
+                .map(|seq| TimerKind::TokenRetransmit { seq })
+                .chain((0..2).map(|r| TimerKind::ChildTimeout { ring: RingId(r) }))
+                .chain([
+                    TimerKind::TokenKick,
+                    TimerKind::TokenLost,
+                    TimerKind::Heartbeat,
+                    TimerKind::ParentTimeout,
+                ])
+                .collect();
+            prop_assert!(kinds.len() > INLINE_TIMERS);
+            let (mut set, mut model) = (TimerSet::default(), ModelTimers::default());
+            let mut next_gen = 0u64;
+            for (op, kind, pick) in ops {
+                match op {
+                    // Arming dominates, so the set spills and drains again.
+                    0..=3 => {
+                        next_gen += 1;
+                        set.arm(kinds[kind], next_gen);
+                        model.arm(kinds[kind], next_gen);
+                    }
+                    4 => {
+                        set.cancel(kinds[kind]);
+                        model.cancel(kinds[kind]);
+                    }
+                    // Fire any generation issued so far: live, superseded,
+                    // cancelled or already fired.
+                    5 | 6 => {
+                        let gen = 1 + pick as u64 % next_gen.max(1);
+                        prop_assert_eq!(set.fire(gen), model.fire(gen), "fire({})", gen);
+                    }
+                    _ => {
+                        if pick < 4 {
+                            set.clear();
+                            model.0.clear();
+                        }
+                    }
+                }
+                prop_assert_eq!(set.len(), model.0.len());
+                let mut live: Vec<TimerSlot> =
+                    set.inline[..set.len as usize].iter().chain(&set.spill).copied().collect();
+                live.sort_by_key(|s| s.gen);
+                model.0.sort_by_key(|s| s.gen);
+                prop_assert_eq!(live, model.0.clone());
+            }
+        }
     }
 }

@@ -1,17 +1,29 @@
 //! The ring token (paper §4.2, "Data structure of Tokens").
 //!
 //! A token carries the group id, its current holder, and the aggregated
-//! membership-change operations being agreed in the current round. We extend
-//! the paper's structure with a round sequence number (needed for
-//! retransmission-based fault detection) and with the set of nodes observed
-//! to have pending work (which lets an on-demand ring hand the fresh token
-//! to "an appropriate node", Figure 3 line 22, without extra probing).
+//! membership-change operations being agreed in the current round — the
+//! paper's `GID`, `Holder` and `OP`, nothing a node on the ring does not
+//! read. We extend the paper's structure with a round sequence number
+//! (needed for retransmission-based fault detection), a hop count (what
+//! tells a holdership grant from the holder's own round coming back) and
+//! the set of nodes observed to have pending work (which lets an on-demand
+//! ring hand the fresh token to "an appropriate node", Figure 3 line 22,
+//! without extra probing).
+//!
+//! The token is forwarded, acknowledged and kept for retransmission at every
+//! hop of every ring, so its size is the protocol's steady-state cost: with
+//! `ops` and `pending_nodes` empty — an idle round — a `Token` owns no heap
+//! memory, and decoding, cloning and dropping one allocate nothing.
 
 use crate::ids::{GroupId, NodeId, RingId};
 use crate::message::{ChangeId, ChangeRecord};
 use serde::{Deserialize, Serialize};
 
-/// The token that circulates around one logical ring.
+/// The token that circulates around one logical ring: the paper's `GID`,
+/// `Holder` and `OP` plus a round number, a hop count and the pending-work
+/// hints. It carries no roster of the nodes it passed — no step of the
+/// algorithm reads one, and a list that grows by one id per hop is paid for
+/// in every frame, every retransmission copy and every acknowledgement.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Token {
     /// Group identity (paper: `GID`).
@@ -30,9 +42,10 @@ pub struct Token {
     /// the holder uses this to park or hand over the fresh token under the
     /// on-demand policy.
     pub pending_nodes: Vec<NodeId>,
-    /// Nodes visited so far in this round (the holder is visited implicitly
-    /// at round start). Used for round-completion accounting and by tests.
-    pub visited: Vec<NodeId>,
+    /// Nodes this round's token has visited, the holder's own start
+    /// included. Zero marks a holdership grant: a token addressed to its
+    /// `holder` that has not been round any ring.
+    pub hops: u32,
 }
 
 impl Token {
@@ -44,7 +57,7 @@ impl Token {
         holder: NodeId,
         ops: Vec<ChangeRecord>,
     ) -> Self {
-        Token { gid, ring, seq, holder, ops, pending_nodes: Vec::new(), visited: Vec::new() }
+        Token { gid, ring, seq, holder, ops, pending_nodes: Vec::new(), hops: 0 }
     }
 
     /// Whether this round carries any operations.
@@ -64,9 +77,9 @@ impl Token {
         }
     }
 
-    /// Record a visit.
-    pub fn note_visit(&mut self, node: NodeId) {
-        self.visited.push(node);
+    /// Record a visit (counted, not listed; the count saturates).
+    pub fn note_visit(&mut self, _node: NodeId) {
+        self.hops = self.hops.saturating_add(1);
     }
 }
 
@@ -112,10 +125,16 @@ mod tests {
     }
 
     #[test]
-    fn visits_accumulate_in_order() {
+    fn visits_are_counted_and_saturate() {
         let mut t = tok();
+        assert_eq!(t.hops, 0, "a fresh token has been nowhere");
         t.note_visit(NodeId(4));
         t.note_visit(NodeId(5));
-        assert_eq!(t.visited, vec![NodeId(4), NodeId(5)]);
+        t.note_visit(NodeId(4));
+        assert_eq!(t.hops, 3, "every visit counts, repeats included");
+        t.hops = u32::MAX - 1;
+        t.note_visit(NodeId(6));
+        t.note_visit(NodeId(7));
+        assert_eq!(t.hops, u32::MAX, "the count saturates instead of wrapping to a grant");
     }
 }

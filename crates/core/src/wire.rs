@@ -27,7 +27,7 @@ fn size_hint(msg: &Msg) -> usize {
     const RECORD: usize = 56;
     const MEMBER: usize = 25;
     32 + match msg {
-        Msg::Token(t) => RECORD * t.ops.len() + 8 * (t.pending_nodes.len() + t.visited.len()) + 32,
+        Msg::Token(t) => RECORD * t.ops.len() + 8 * t.pending_nodes.len() + 32,
         Msg::MqInsert { records, .. } => RECORD * records.len(),
         Msg::HolderAck { change_ids, .. } => 16 * change_ids.len(),
         Msg::HeartbeatUp(s) | Msg::HeartbeatDown(s) => 8 * s.roster.len() + 16,
@@ -331,6 +331,12 @@ fn get_records(buf: &mut &[u8]) -> Result<Vec<ChangeRecord>> {
     get_list(buf, MIN_RECORD_BYTES, "record list too long", get_record)
 }
 
+/// Token layout: `gid u32 | ring u32 | seq u64 | holder u64 | ops
+/// (counted records) | pending_nodes (counted u64s) | hops u32` — the
+/// paper's `GID`, `Holder` and `OP` (§4.2) plus the round number, the
+/// pending-work hints and a hop count. An idle token is 36 bytes whatever
+/// the ring size: the visit is counted, not listed, because the only thing
+/// a receiver asks of it is "has this token been anywhere yet".
 fn put_token(buf: &mut BytesMut, t: &Token) {
     buf.put_u32_le(t.gid.0);
     buf.put_u32_le(t.ring.0);
@@ -338,7 +344,7 @@ fn put_token(buf: &mut BytesMut, t: &Token) {
     buf.put_u64_le(t.holder.0);
     put_records(buf, &t.ops);
     put_nodes(buf, &t.pending_nodes);
-    put_nodes(buf, &t.visited);
+    buf.put_u32_le(t.hops);
 }
 
 fn get_token(buf: &mut &[u8]) -> Result<Token> {
@@ -349,7 +355,7 @@ fn get_token(buf: &mut &[u8]) -> Result<Token> {
         holder: NodeId(get_u64(buf)?),
         ops: get_records(buf)?,
         pending_nodes: get_nodes(buf)?,
-        visited: get_nodes(buf)?,
+        hops: get_u32(buf)?,
     })
 }
 
@@ -805,15 +811,6 @@ mod tests {
                 8,
             ),
             (
-                "Token visited",
-                prefix(0, |b| {
-                    token_head(b);
-                    b.put_u32_le(0); // ops
-                    b.put_u32_le(0); // pending
-                }),
-                8,
-            ),
-            (
                 "HolderAck ids",
                 prefix(3, |b| {
                     b.put_u32_le(0); // ring
@@ -877,6 +874,24 @@ mod tests {
             buf.put_slice(&vec![0u8; 8 * min_bytes - 1]);
             assert!(too_long(&buf), "{what}: 8 elements in {} bytes accepted", 8 * min_bytes - 1);
         }
+    }
+
+    #[test]
+    fn truncated_token_hops_fail_cleanly() {
+        let mut t = Token::fresh(GroupId(1), RingId(0), 1, NodeId(0), vec![]);
+        t.note_visit(NodeId(0));
+        let bytes = encode(&Envelope { gid: GroupId(1), msg: Msg::Token(t) });
+        // The hop count is the token's last field: every cut inside it (and
+        // the cut that removes it whole) is an end-of-frame error, never a
+        // panic and never a token with a made-up count.
+        for cut in 1..=4 {
+            let short = &bytes[..bytes.len() - cut];
+            assert!(
+                matches!(decode(short), Err(RgbError::Decode("eof: u32"))),
+                "{cut} byte(s) short of a full hop count was accepted"
+            );
+        }
+        assert!(decode(&bytes).is_ok());
     }
 
     #[test]

@@ -198,3 +198,49 @@ fn handoff_between_ring_neighbors_updates_location() {
         assert_eq!(m.luid, Luid(2));
     }
 }
+
+#[test]
+fn hop_count_tells_a_grant_from_a_returning_round() {
+    // A token addressed to its holder is a holdership grant when it has
+    // been nowhere (`hops == 0`) and the holder's own round coming back
+    // otherwise; the two take different branches of `on_token`.
+    let cfg = ProtocolConfig::live();
+    let layout = HierarchySpec::new(1, 4).build(GroupId(1)).unwrap();
+    let nodes = layout.root_ring().nodes.clone();
+    let (prev, me, next) = (nodes[0], nodes[1], nodes[2]);
+    let mut node = NodeState::from_layout(&layout, me, cfg.clone()).unwrap();
+    let token_to = |outs: &[Output], to: NodeId| {
+        outs.iter().find_map(|o| match o {
+            Output::Send { to: t, msg: Msg::Token(tok) } if *t == to => Some(tok.clone()),
+            _ => None,
+        })
+    };
+
+    // Grant: park the token and pace the next round; no round completes.
+    let grant = Token::fresh(GroupId(1), layout.root_ring().id, 5, me, vec![]);
+    assert_eq!(grant.hops, 0);
+    let outs = node.handle(Input::Msg { from: prev, msg: Msg::Token(grant) });
+    assert!(node.holds_token(), "a grant parks the token");
+    assert_eq!(node.stats.rounds_completed, 0);
+    assert!(outs.iter().any(|o| matches!(o, Output::SetTimer { kind: TimerKind::TokenKick, .. })));
+    assert!(token_to(&outs, next).is_none(), "a grant is not forwarded");
+
+    // The kick starts this node's own round: the token leaves with the
+    // holder's visit already counted.
+    let outs = node.handle(Input::Timer(TimerKind::TokenKick));
+    let round = token_to(&outs, next).expect("round token forwarded to the successor");
+    assert_eq!((round.holder, round.hops), (me, 1));
+    assert!(!node.holds_token());
+
+    // Returning round (the same token after three more visits): the round
+    // completes and holdership rotates on with a fresh grant.
+    let mut back = round;
+    for &n in &[nodes[2], nodes[3], nodes[0]] {
+        back.note_visit(n);
+    }
+    let outs = node.handle(Input::Msg { from: prev, msg: Msg::Token(back) });
+    assert_eq!(node.stats.rounds_completed, 1, "hops > 0 at the holder completes the round");
+    let handed = token_to(&outs, next).expect("holdership handed to the successor");
+    assert_eq!((handed.holder, handed.hops), (next, 0), "the hand-over is a grant");
+    assert!(!node.holds_token());
+}

@@ -238,12 +238,10 @@ proptest! {
         records in proptest::collection::vec(arb_record(16), 0..10),
         seq in any::<u64>(),
         holder in 0u64..100,
-        visited in proptest::collection::vec(0u64..100, 0..10),
+        hops in any::<u32>(),
     ) {
         let mut t = Token::fresh(GroupId(1), RingId(2), seq, NodeId(holder), records);
-        for v in visited {
-            t.note_visit(NodeId(v));
-        }
+        t.hops = hops;
         let env = Envelope { gid: GroupId(1), msg: Msg::Token(t) };
         let bytes = wire::encode(&env);
         prop_assert_eq!(wire::decode(&bytes).unwrap(), env);

@@ -99,16 +99,15 @@ fn arb_token() -> impl Strategy<Value = Token> {
         (0u32..16, arb_ring(), any::<u64>(), arb_node()),
         arb_records(),
         proptest::collection::vec(arb_node(), 0..5),
-        proptest::collection::vec(arb_node(), 0..5),
+        // A grant (0), ordinary ring sizes, and the saturated count.
+        prop_oneof![0u32..64, any::<u32>(), Just(u32::MAX)],
     )
-        .prop_map(|((gid, ring, seq, holder), ops, pending, visited)| {
+        .prop_map(|((gid, ring, seq, holder), ops, pending, hops)| {
             let mut t = Token::fresh(GroupId(gid), ring, seq, holder, ops);
             for n in pending {
                 t.note_pending(n);
             }
-            for n in visited {
-                t.note_visit(n);
-            }
+            t.hops = hops;
             t
         })
 }

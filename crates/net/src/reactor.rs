@@ -31,10 +31,10 @@ use rgb_core::message::{Msg, MsgLabel};
 use rgb_core::node::NodeState;
 use rgb_core::obs::LevelHistograms;
 use rgb_core::prelude::{GroupId, NodeId};
-use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate};
+use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate, TimerSet};
 use rgb_core::wire;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -339,9 +339,10 @@ impl TimerWheel {
 /// counter surfaced in [`NodeSnapshot`].
 struct MuxNode {
     state: NodeState,
-    /// Live timers: kind → generation that is allowed to fire. Entries in
-    /// the wheel with any other generation are stale and ignored.
-    timers: BTreeMap<TimerKind, u64>,
+    /// Live timers: per kind, the generation that is allowed to fire.
+    /// Entries in the wheel with any other generation are stale and
+    /// ignored.
+    timers: TimerSet,
     next_gen: u64,
     dropped_frames: u64,
     /// Tick a ring-repair suspicion (`TokenLost` / `TokenRetransmit`)
@@ -365,7 +366,7 @@ struct ReactorSubstrate<'a> {
     events: &'a Sender<(NodeId, AppEvent)>,
     shared: &'a ReactorShared,
     wheel: &'a mut TimerWheel,
-    timers: &'a mut BTreeMap<TimerKind, u64>,
+    timers: &'a mut TimerSet,
     next_gen: &'a mut u64,
     dropped_frames: &'a mut u64,
     ring_repair_started: &'a mut u64,
@@ -393,12 +394,12 @@ impl Substrate for ReactorSubstrate<'_> {
     fn arm_timer(&mut self, _node: NodeId, kind: TimerKind, after: u64) {
         *self.next_gen += 1;
         let gen = *self.next_gen;
-        self.timers.insert(kind, gen);
+        self.timers.arm(kind, gen);
         self.wheel.arm(self.now.saturating_add(after), self.local, kind, gen);
     }
 
     fn cancel_timer(&mut self, _node: NodeId, kind: TimerKind) {
-        self.timers.remove(&kind);
+        self.timers.cancel(kind);
     }
 
     fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
@@ -486,7 +487,7 @@ impl Worker {
             .map(|state| {
                 Some(MuxNode {
                     state,
-                    timers: BTreeMap::new(),
+                    timers: TimerSet::default(),
                     next_gen: 0,
                     dropped_frames: 0,
                     ring_repair_started: NO_ANCHOR,
@@ -633,12 +634,9 @@ impl Worker {
             let now = self.now_tick();
             while let Some(entry) = self.wheel.pop_due(now) {
                 let i = entry.node as usize;
-                let live = self.nodes[i]
-                    .as_mut()
-                    .is_some_and(|n| n.timers.get(&entry.kind) == Some(&entry.gen));
+                let live = self.nodes[i].as_mut().is_some_and(|n| n.timers.fire(entry.gen));
                 if live {
                     if let Some(n) = self.nodes[i].as_mut() {
-                        n.timers.remove(&entry.kind);
                         // A repair suspicion opens the latency interval
                         // the eventual RingRepaired / Reattached closes;
                         // the first trigger wins, and token progress

@@ -9,7 +9,7 @@
 
 use crate::network::LinkClass;
 use rgb_core::obs::LevelHistograms;
-use rgb_core::prelude::MsgLabel;
+use rgb_core::prelude::{MsgLabel, TimerKind};
 use std::collections::BTreeMap;
 
 /// The latency histogram, re-exported from [`rgb_core::obs`].
@@ -102,6 +102,11 @@ pub struct Metrics {
     /// Superseded timer entries drained lazily from the event queue (a
     /// re-arm outpaced the old expiry; the stale entry was skipped).
     pub stale_timer_skips: u64,
+    /// Live timer expiries handed to a node, one slot per [`TimerKind`]
+    /// (payloads aside). With `stale_timer_skips` and the per-label send
+    /// counters this is the event mix of a run: what `step()` spent its
+    /// pops on.
+    timer_fires: [u64; TimerKind::COUNT],
     /// Per-change end-to-end latency (injection → root execution).
     pub change_latency: Histogram,
     /// Per-query latency (request → result).
@@ -122,6 +127,18 @@ impl Metrics {
         self.sent_by_label[label as usize] += 1;
         self.sent_by_class[class.index()] += 1;
         self.sent_total += 1;
+    }
+
+    /// Count one live timer expiry (hot path: one array increment).
+    #[inline]
+    pub fn record_timer_fire(&mut self, kind: TimerKind) {
+        self.timer_fires[kind.index()] += 1;
+    }
+
+    /// Live expiries per timer kind, as `(name, count)` in
+    /// [`TimerKind::NAMES`] order (zero entries included).
+    pub fn timer_fires(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        TimerKind::NAMES.into_iter().zip(self.timer_fires)
     }
 
     /// Count of a single label slot.
@@ -180,7 +197,8 @@ impl Metrics {
     }
 
     /// Fold `other` into `self`: every counter — the fixed-slot
-    /// `sent_by_label`/`sent_by_class` arrays included — is summed, and
+    /// `sent_by_label`/`sent_by_class`/`timer_fires` arrays included — is
+    /// summed, and
     /// the latency histograms take the multiset union of their samples.
     ///
     /// This is the shard-aggregation primitive of the parallel engine
@@ -204,6 +222,9 @@ impl Metrics {
         self.app_events += other.app_events;
         self.app_events_dropped += other.app_events_dropped;
         self.stale_timer_skips += other.stale_timer_skips;
+        for (slot, v) in self.timer_fires.iter_mut().zip(other.timer_fires) {
+            *slot += v;
+        }
         self.change_latency.merge(&other.change_latency);
         self.query_latency.merge(&other.query_latency);
         self.levels.merge(&other.levels);
@@ -322,6 +343,22 @@ mod tests {
             m.app_events = base + 17;
             m.app_events_dropped = base + 19;
             m.stale_timer_skips = base + 23;
+            for (i, kind) in [
+                TimerKind::TokenRetransmit { seq: 9 },
+                TimerKind::TokenKick,
+                TimerKind::TokenLost,
+                TimerKind::Heartbeat,
+                TimerKind::ParentTimeout,
+                TimerKind::ChildTimeout { ring: rgb_core::prelude::RingId(3) },
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                assert_eq!(kind.index(), i, "TimerKind::index is dense, in NAMES order");
+                for _ in 0..base + 97 + i as u64 {
+                    m.record_timer_fire(kind);
+                }
+            }
             m.change_latency.record(base + 29);
             m.query_latency.record(base + 31);
             m.query_latency.record(base + 37);
@@ -366,6 +403,10 @@ mod tests {
         assert_eq!(merged.app_events, a.app_events + b.app_events);
         assert_eq!(merged.app_events_dropped, a.app_events_dropped + b.app_events_dropped);
         assert_eq!(merged.stale_timer_skips, a.stale_timer_skips + b.stale_timer_skips);
+        for (i, (name, fires)) in merged.timer_fires().enumerate() {
+            assert_eq!(name, TimerKind::NAMES[i]);
+            assert_eq!(fires, 100 + 1_000 + 2 * (97 + i as u64), "timer slot {name}");
+        }
         assert_eq!(merged.par.windows, a.par.windows + b.par.windows);
         assert_eq!(merged.par.idle_skips, a.par.idle_skips + b.par.idle_skips);
         assert_eq!(merged.par.frames_batched, a.par.frames_batched + b.par.frames_batched);

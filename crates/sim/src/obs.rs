@@ -453,6 +453,8 @@ pub fn obs_json(r: &ObsReport) -> String {
         m.app_events_dropped,
         m.stale_timer_skips,
     ));
+    let fires: Vec<String> = m.timer_fires().map(|(kind, n)| format!("\"{kind}\":{n}")).collect();
+    out.push_str(&format!("  \"timer_fires\": {{{}}},\n", fires.join(",")));
     out.push_str(&format!(
         "  \"par\": {{\"windows\":{},\"idle_skips\":{},\"frames_batched\":{},\"batches\":{},\"max_batch\":{},\"phase_nanos\":{{\"execute\":{},\"flush\":{},\"barrier\":{},\"drain\":{}}}}},\n",
         m.par.windows,
@@ -535,6 +537,9 @@ pub fn prometheus_text(metrics: &Metrics) -> String {
     out.push_str(&format!("rgb_app_events_total {}\n", m.app_events));
     out.push_str(&format!("rgb_app_events_dropped_total {}\n", m.app_events_dropped));
     out.push_str(&format!("rgb_stale_timer_skips_total {}\n", m.stale_timer_skips));
+    for (kind, fires) in m.timer_fires() {
+        out.push_str(&format!("rgb_timer_fires_total{{kind=\"{kind}\"}} {fires}\n"));
+    }
     for (phase, nanos) in [
         ("execute", m.par.execute_nanos),
         ("flush", m.par.flush_nanos),
@@ -661,7 +666,8 @@ mod tests {
 
     #[test]
     fn obs_json_has_the_v1_envelope() {
-        let m = Metrics::default();
+        let mut m = Metrics::default();
+        m.record_timer_fire(rgb_core::prelude::TimerKind::Heartbeat);
         let t = Timeline::new();
         let doc = obs_json(&ObsReport {
             scenario: "unit",
@@ -675,6 +681,8 @@ mod tests {
         });
         assert!(doc.contains("\"schema\": \"rgb-obs v1\""));
         assert!(doc.contains("\"counters\""));
+        assert!(doc.contains("\"timer_fires\": {\"token_retransmit\":0,"));
+        assert!(doc.contains("\"heartbeat\":1,"));
         assert!(doc.contains("\"phase_nanos\""));
         assert!(doc.contains("\"levels\""));
         assert!(doc.contains("\"trace\""));
@@ -685,8 +693,10 @@ mod tests {
         let mut m = Metrics::default();
         m.levels.level_mut(1).repair.record(40);
         m.par.barrier_nanos = 9;
+        m.record_timer_fire(rgb_core::prelude::TimerKind::TokenKick);
         let text = prometheus_text(&m);
         assert!(text.contains("rgb_sent_total 0"));
+        assert!(text.contains("rgb_timer_fires_total{kind=\"token_kick\"} 1"));
         assert!(text.contains("rgb_par_phase_nanos{phase=\"barrier\"} 9"));
         assert!(
             text.contains("rgb_latency_ticks{surface=\"repair\",level=\"1\",quantile=\"0.5\"} 40")

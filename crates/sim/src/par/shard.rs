@@ -16,14 +16,24 @@
 //! `(at, key)` order performs *bit-for-bit* the same node transitions the
 //! sequential engine performs for those nodes — the window protocol only
 //! has to guarantee that no event arrives after its window was processed.
+//!
+//! ## Hot-path layout
+//!
+//! The same as the sequential engine's, from the same types: the engine
+//! side of every local node is one packed `NodeSlot` (crash flag, timer
+//! generation and inline live timers, emission counter, random stream,
+//! query clock — see the [`crate::sim`] module docs) next to the node
+//! arena, and the shard's wheel releases a bucket's buffer when the bucket
+//! drains, so a shard's resident memory follows its queue, not its
+//! history.
 
 use crate::metrics::Metrics;
 use crate::network::{LinkClassMatrix, NetworkModel};
 use crate::obs::EngineObs;
 use crate::par::partition::ShardMap;
-use crate::queue::{Event, EventKey, EventKind, EventQueue, QueueKind, TimerSlot};
+use crate::queue::{Event, EventKey, EventKind, EventQueue, NodeSlot, QueueKind};
 use crate::rng::SplitMix64;
-use crate::sim::{MemoryStats, EXT_SRC, EXT_STREAM_SALT, NODE_STREAM_SALT, NO_QUERY};
+use crate::sim::{MemoryStats, EXT_SRC, EXT_STREAM_SALT, NO_QUERY};
 use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
@@ -49,14 +59,10 @@ pub(crate) struct Shard {
     /// Local → node id.
     node_ids: Vec<NodeId>,
     nodes: Vec<NodeState>,
-    crashed: Vec<bool>,
+    /// Engine-side per-node state, the sequential engine's slot type.
+    slots: Vec<NodeSlot>,
     delivered: Vec<Vec<(u64, AppEvent)>>,
     delivered_cap: usize,
-    timer_slots: Vec<Vec<TimerSlot>>,
-    timer_gens: Vec<u64>,
-    query_started: Vec<u64>,
-    rngs: Vec<SplitMix64>,
-    emit: Vec<u64>,
     ext_rng: SplitMix64,
     ext_emit: u64,
     events: EventQueue,
@@ -114,10 +120,7 @@ impl Shard {
                     .expect("valid layout")
             })
             .collect();
-        let rngs = node_ids
-            .iter()
-            .map(|&nid| SplitMix64::stream(seed, NODE_STREAM_SALT ^ nid.0))
-            .collect();
+        let slots = node_ids.iter().map(|&nid| NodeSlot::new(seed, nid)).collect();
         let n = globals.len();
         let obs = EngineObs::new(&node_ids, layout);
         Shard {
@@ -127,14 +130,9 @@ impl Shard {
             globals,
             node_ids,
             nodes,
-            crashed: vec![false; n],
+            slots,
             delivered: vec![Vec::new(); n],
             delivered_cap: usize::MAX,
-            timer_slots: vec![Vec::new(); n],
-            timer_gens: vec![0; n],
-            query_started: vec![NO_QUERY; n],
-            rngs,
-            emit: vec![0; n],
             ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
             ext_emit: 0,
             events: EventQueue::new(QueueKind::TimerWheel),
@@ -265,7 +263,7 @@ impl Shard {
         self.processed += 1;
         match kind {
             EventKind::Deliver { from, to, frame } => {
-                let crashed = to.is_some_and(|local| self.crashed[local.as_usize()]);
+                let crashed = to.is_some_and(|local| self.slots[local.as_usize()].crashed);
                 if !crashed {
                     self.deliver_frame(from, to, &frame);
                 }
@@ -273,25 +271,20 @@ impl Shard {
             }
             EventKind::Timer { node, kind, gen } => {
                 let local = node.as_usize();
-                if !self.crashed[local] {
-                    let slots = &mut self.timer_slots[local];
-                    match slots.iter().position(|s| s.gen == gen) {
-                        Some(pos) => {
-                            slots.swap_remove(pos);
-                            if self.obs.enabled {
-                                self.obs.on_timer_fire(self.now, local, kind);
-                            }
-                            self.inject_local(local, Input::Timer(kind));
-                        }
-                        None => self.metrics.stale_timer_skips += 1,
+                let slot = &mut self.slots[local];
+                if !slot.crashed && slot.timers.fire(gen) {
+                    self.metrics.record_timer_fire(kind);
+                    if self.obs.enabled {
+                        self.obs.on_timer_fire(self.now, local, kind);
                     }
+                    self.inject_local(local, Input::Timer(kind));
                 } else {
                     self.metrics.stale_timer_skips += 1;
                 }
             }
             EventKind::MhDeliver { ap, frame } => {
                 let local = self.local_of_id(ap);
-                let crashed = local.is_some_and(|l| self.crashed[l]);
+                let crashed = local.is_some_and(|l| self.slots[l].crashed);
                 if !crashed {
                     match wire::decode(&frame) {
                         Ok(env) if env.gid == self.gid => {
@@ -309,8 +302,8 @@ impl Shard {
             }
             EventKind::Crash { node } => {
                 if let Some(local) = self.local_of_id(node) {
-                    self.crashed[local] = true;
-                    self.timer_slots[local].clear();
+                    self.slots[local].crashed = true;
+                    self.slots[local].timers.clear();
                     if self.obs.enabled {
                         self.obs.on_crash(self.now, local);
                     }
@@ -318,7 +311,7 @@ impl Shard {
             }
             EventKind::QueryStart { node, scope } => {
                 if let Some(local) = self.local_of_id(node) {
-                    self.query_started[local] = self.now;
+                    self.slots[local].query_started = self.now;
                     if self.obs.enabled {
                         self.obs.on_query_issue(self.now, local);
                     }
@@ -377,7 +370,7 @@ impl Shard {
     }
 
     fn inject_local(&mut self, local: usize, input: Input) {
-        if self.crashed[local] {
+        if self.slots[local].crashed {
             return;
         }
         let mut outs = std::mem::take(&mut self.out_buf);
@@ -419,7 +412,7 @@ impl Shard {
     /// interleave in global id order.
     pub fn digests_into(&self, out: &mut Vec<(NodeIdx, StateDigest)>) {
         for (local, &global) in self.globals.iter().enumerate() {
-            if !self.crashed[local] {
+            if !self.slots[local].crashed {
                 out.push((global, self.nodes[local].digest()));
             }
         }
@@ -428,7 +421,7 @@ impl Shard {
     /// Final membership views of alive local nodes (scenario outcomes).
     pub fn views_into(&self, out: &mut Vec<(NodeId, std::collections::BTreeSet<Guid>)>) {
         for (local, &id) in self.node_ids.iter().enumerate() {
-            if !self.crashed[local] {
+            if !self.slots[local].crashed {
                 out.push((id, crate::scenario::operational_guids(&self.nodes[local].ring_members)));
             }
         }
@@ -436,12 +429,7 @@ impl Shard {
 
     /// This shard's contribution to [`MemoryStats`].
     pub fn memory_stats(&self) -> MemoryStats {
-        crate::sim::memory_stats_of(
-            &self.nodes,
-            &self.timer_slots,
-            &self.delivered,
-            self.events.len(),
-        )
+        crate::sim::memory_stats_of(&self.nodes, &self.slots, &self.delivered, &self.events)
     }
 }
 
@@ -466,11 +454,11 @@ impl Substrate for Shard {
         let (src, plan, seq) = match fi {
             Some(g) => {
                 debug_assert_eq!(self.map.shard_of(g), self.id, "send from foreign node");
-                let local = self.map.local_of(g).as_usize();
-                let plan = self.net.plan_frame(class, &mut self.rngs[local]);
+                let slot = &mut self.slots[self.map.local_of(g).as_usize()];
+                let plan = self.net.plan_frame(class, &mut slot.rng);
                 let reserve = plan.map_or(0, |p| 1 + u64::from(p.dup_latency.is_some()));
-                let seq = self.emit[local];
-                self.emit[local] += reserve;
+                let seq = slot.emit;
+                slot.emit += reserve;
                 (g.0, plan, seq)
             }
             None => {
@@ -517,39 +505,25 @@ impl Substrate for Shard {
     fn arm_timer(&mut self, node: NodeId, kind: TimerKind, after: u64) {
         let Some(global) = self.indexer.index_of(node) else { return };
         let Some(local) = self.local_of_id(node) else { return };
-        let gen = {
-            let g = &mut self.timer_gens[local];
-            *g += 1;
-            *g
-        };
-        let slots = &mut self.timer_slots[local];
-        match slots.iter_mut().find(|s| s.kind == kind) {
-            Some(slot) => slot.gen = gen,
-            None => slots.push(TimerSlot { kind, gen }),
-        }
-        let key = EventKey::emitted(global.0, self.emit[local]);
-        self.emit[local] += 1;
+        let (gen, seq) = self.slots[local].arm_timer(kind);
         self.events.push(
             self.now,
             self.now.saturating_add(after),
-            key,
+            EventKey::emitted(global.0, seq),
             EventKind::Timer { node: NodeIdx(local as u32), kind, gen },
         );
     }
 
     fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {
         let Some(local) = self.local_of_id(node) else { return };
-        let slots = &mut self.timer_slots[local];
-        if let Some(pos) = slots.iter().position(|s| s.kind == kind) {
-            slots.swap_remove(pos);
-        }
+        self.slots[local].timers.cancel(kind);
     }
 
     fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
         self.metrics.app_events += 1;
         let Some(local) = self.local_of_id(node) else { return };
         if let AppEvent::QueryResult { .. } = &event {
-            let t0 = std::mem::replace(&mut self.query_started[local], NO_QUERY);
+            let t0 = std::mem::replace(&mut self.slots[local].query_started, NO_QUERY);
             if t0 != NO_QUERY {
                 let dt = self.now - t0;
                 self.metrics.query_latency.record(dt);

@@ -28,8 +28,11 @@
 //! could wrap: far events fall back to the heap, and the scan bound
 //! saturates. A regression test drains events parked at `u64::MAX`.
 
+use crate::rng::SplitMix64;
+use crate::sim::{NODE_STREAM_SALT, NO_QUERY};
 use bytes::Bytes;
 use rgb_core::prelude::*;
+use rgb_core::substrate::TimerSet;
 use rgb_core::topology::NodeIdx;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -39,6 +42,16 @@ use std::collections::{BinaryHeap, VecDeque};
 const WHEEL_BITS: u32 = 10;
 /// Number of wheel buckets.
 const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
+
+/// Largest buffer (in entries, ≈ 56 KB) a drained wheel bucket keeps for
+/// its next tick; anything bigger is released on emptying. Ordinary ticks
+/// (under a thousand events even at 99,498 NEs) stay below it and keep
+/// their allocation; synchronised bursts — every node boots at tick 0, so
+/// all of them beat in the same tick — do not leave a 7 MB buffer behind in
+/// a different bucket each time. What the wheel retains is then at most
+/// twice what it holds (a bucket doubles as it fills) plus this floor per
+/// bucket, instead of the largest tick each of its 1,024 buckets ever saw.
+const RELEASE_ENTRIES: usize = 1 << 10;
 
 /// Which event-queue implementation a `Simulation` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,14 +64,56 @@ pub enum QueueKind {
     BinaryHeap,
 }
 
-/// One generation-stamped live timer of a node. The queue may hold many
-/// entries for the same `(node, kind)`; only the one whose generation
-/// matches the slot fires. Shared by the sequential engine and every
-/// shard of the parallel engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TimerSlot {
-    pub kind: TimerKind,
-    pub gen: u64,
+/// Everything an engine keeps per node beside its protocol state, packed so
+/// that one event at a node touches one slot: the sequential engine and
+/// every shard of the parallel one hold a `Vec<NodeSlot>` indexed like
+/// their node arena. Declaration order is layout order (`repr(C)`): the
+/// scalars every event reads come first, directly followed by the head of
+/// the timer set, so a token hop stays within the slot's first two cache
+/// lines.
+#[derive(Debug, Clone)]
+#[repr(C)]
+pub(crate) struct NodeSlot {
+    /// Timer generation counter (the stamp of the latest arm).
+    gen: u64,
+    /// Event-emission counter (the `seq` of this node's [`EventKey`]s).
+    pub emit: u64,
+    /// The node's private random stream — its draws depend only on its own
+    /// activity, never on engine interleaving.
+    pub rng: SplitMix64,
+    /// Start time of the outstanding query ([`NO_QUERY`] = none).
+    pub query_started: u64,
+    /// The node crashed: its deliveries and timers are dropped.
+    pub crashed: bool,
+    /// Live timers.
+    pub timers: TimerSet,
+}
+
+impl NodeSlot {
+    /// The slot of node `id`. Streams are keyed by the stable [`NodeId`]
+    /// (not a dense index), so any engine covering any subset of the layout
+    /// derives identical streams for identical nodes.
+    pub fn new(seed: u64, id: NodeId) -> Self {
+        NodeSlot {
+            gen: 0,
+            emit: 0,
+            rng: SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0),
+            query_started: NO_QUERY,
+            crashed: false,
+            timers: TimerSet::default(),
+        }
+    }
+
+    /// Arm `kind`: stamps a fresh generation and reserves the emission
+    /// number of the queue entry. Returns `(gen, emission seq)`.
+    #[inline]
+    pub fn arm_timer(&mut self, kind: TimerKind) -> (u64, u64) {
+        self.gen += 1;
+        self.timers.arm(kind, self.gen);
+        let seq = self.emit;
+        self.emit += 1;
+        (self.gen, seq)
+    }
 }
 
 /// Deterministic same-tick tiebreaker of one queued occurrence.
@@ -285,9 +340,19 @@ impl Wheel {
         debug_assert_eq!(event.at, at);
         if bucket.entries.is_empty() {
             bucket.sorted_for = None;
+            // Give the buffer back instead of parking it here for a whole
+            // rotation (see `RELEASE_ENTRIES`).
+            if bucket.entries.capacity() > RELEASE_ENTRIES {
+                bucket.entries = VecDeque::new();
+            }
         }
         self.len -= 1;
         event
+    }
+
+    /// Entry slots allocated across the buckets, used or not.
+    fn capacity(&self) -> usize {
+        self.buckets.iter().map(|b| b.entries.capacity()).sum()
     }
 }
 
@@ -329,6 +394,14 @@ impl EventQueue {
     /// Pending scheduled disruptions (see [`EventKind::is_disruption`]).
     pub fn disruptions(&self) -> usize {
         self.disruptions
+    }
+
+    /// Bytes of entry storage the queue holds on to — bucket and far-heap
+    /// *capacity*, not occupancy — which is what it costs in resident
+    /// memory. Frame payloads are not included.
+    pub fn retained_bytes(&self) -> usize {
+        let slots = self.heap.capacity() + self.wheel.as_ref().map_or(0, Wheel::capacity);
+        slots * std::mem::size_of::<Event>()
     }
 
     /// Queue an occurrence: near-future ones go to the wheel, far ones (or
@@ -568,6 +641,47 @@ mod tests {
             now = now.max(ev.at);
         }
         assert_eq!(q.disruptions(), 0);
+    }
+
+    #[test]
+    fn drained_burst_buckets_give_their_memory_back() {
+        // The fleet's shape: every node boots at tick 0, so all of them
+        // beat in the same tick every 150 — a 100k-entry bucket that lands
+        // in a *different* wheel slot each time (150·k mod 1024) — over a
+        // thin background of per-tick traffic. Before buckets were released
+        // on draining, each of those slots kept its 131,072-entry buffer
+        // (7.3 MB) for good and the wheel grew with every burst.
+        const BURST: u32 = 100_000;
+        const BACKGROUND: u32 = 10;
+        const PERIOD: u64 = 150;
+        let mut q = EventQueue::new(QueueKind::TimerWheel);
+        for node in 0..BURST + BACKGROUND {
+            let at = if node < BURST { PERIOD } else { 1 };
+            q.push(0, at, EventKey::emitted(node, 0), timer(node, 0));
+        }
+        let bound = |q: &EventQueue| 2 * q.peak_len() * std::mem::size_of::<Event>();
+        let (mut now, mut bursts) = (0, 0);
+        // Drained like the engine does: pop in order, each expiry re-arms.
+        while now < 3 * WHEEL_SLOTS + PERIOD {
+            let ev = q.pop(now).expect("periodic timers never run dry");
+            now = ev.at;
+            let EventKind::Timer { node, gen, .. } = ev.kind else { unreachable!() };
+            let period = if node.0 < BURST { PERIOD } else { 1 };
+            q.push(now, now + period, EventKey::emitted(node.0, gen + 1), timer(node.0, gen + 1));
+            if node.0 == BURST + BACKGROUND - 1 && now % PERIOD == 0 {
+                // The last entry of a burst tick just left its bucket.
+                bursts += 1;
+                assert!(
+                    q.retained_bytes() <= bound(&q),
+                    "after burst {bursts}: {} bytes retained for a peak of {} entries",
+                    q.retained_bytes(),
+                    q.peak_len()
+                );
+            }
+        }
+        assert!(bursts >= 20, "three rotations hold twenty bursts, saw {bursts}");
+        assert_eq!(q.len(), (BURST + BACKGROUND) as usize);
+        assert!(q.retained_bytes() >= q.len() * std::mem::size_of::<Event>());
     }
 
     #[test]

@@ -16,18 +16,27 @@
 //! The dispatch loop ([`Simulation::step`] / [`Simulation::inject`]) runs
 //! entirely on dense, precomputed structures:
 //!
-//! - node state, crash flags, deliveries, timer slots and timer
-//!   generations live in `Vec`s indexed by [`NodeIdx`] (the
+//! - node state and deliveries live in `Vec`s indexed by [`NodeIdx`] (the
 //!   [`rgb_core::topology::NodeIndexer`] arena) — no `BTreeMap`/`BTreeSet`
 //!   in `step()`;
+//! - everything else the engine keeps per node — crash flag, timer
+//!   generation, live timers, emission counter, random stream, query
+//!   clock — is **one packed slot per node** (the crate-private
+//!   `NodeSlot`, shared with every shard of [`crate::par`]): a delivery,
+//!   its ack and the timers they arm touch one 192-byte slot whose live
+//!   timers sit inline ([`rgb_core::substrate::TimerSet`]), not six
+//!   parallel arrays on six pages;
 //! - link classification is a [`LinkClassMatrix`] lookup precomputed at
 //!   construction — no per-send `placement()` walks;
 //! - send counters are fixed-slot arrays keyed by [`MsgLabel`] and
 //!   [`LinkClass`] ([`Metrics::record_send`]);
 //! - timers are generation-stamped slots drained through a bucketed timer
 //!   wheel (the crate-private `queue` module), so re-armed periodic
-//!   timers stop
-//!   accumulating stale heap entries;
+//!   timers stop accumulating stale heap entries; a drained bucket gives
+//!   its buffer back, so the wheel's memory follows what is queued, not
+//!   the largest tick each bucket ever held (every node boots at tick 0,
+//!   hence beats in the same tick: a 100k-entry burst per heartbeat
+//!   period, in a different bucket each time);
 //! - frames are pooled, and still encoded and decoded once per delivery:
 //!   [`Simulation::step`] returns each delivered frame to a bounded
 //!   [`FramePool`] and the next send encodes into a buffer taken from it
@@ -56,7 +65,7 @@
 use crate::metrics::Metrics;
 use crate::network::{LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 use crate::obs::EngineObs;
-use crate::queue::{Event, EventKey, EventKind, EventQueue};
+use crate::queue::{Event, EventKey, EventKind, EventQueue, NodeSlot};
 use crate::rng::SplitMix64;
 use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
@@ -147,8 +156,6 @@ impl WirelessHop {
     }
 }
 
-use crate::queue::TimerSlot;
-
 /// The discrete-event simulator.
 #[derive(Debug)]
 pub struct Simulation {
@@ -162,8 +169,10 @@ pub struct Simulation {
     indexer: NodeIndexer,
     /// Protocol state of every NE, by [`NodeIdx`].
     nodes: Vec<NodeState>,
-    /// Crash flags, by [`NodeIdx`] (hot-path view).
-    crashed: Vec<bool>,
+    /// Engine-side state of every NE, by [`NodeIdx`]: crash flag, timer
+    /// generation and live timers, emission counter, random stream and
+    /// query clock in one slot.
+    slots: Vec<NodeSlot>,
     /// Crashed NEs by id (cold mirror for reports and oracles; also keeps
     /// ids outside the layout, exactly like the old `BTreeSet` did).
     crashed_ids: BTreeSet<NodeId>,
@@ -172,22 +181,10 @@ pub struct Simulation {
     /// Per-node retention cap on `delivered` (opt-in; `usize::MAX` keeps
     /// everything).
     delivered_cap: usize,
-    /// Live timers per node, by [`NodeIdx`].
-    timer_slots: Vec<Vec<TimerSlot>>,
-    /// Per-node timer generation counters, by [`NodeIdx`].
-    timer_gens: Vec<u64>,
-    /// Outstanding query start times, by [`NodeIdx`] (`NO_QUERY` = none).
-    query_started: Vec<u64>,
     /// Precomputed per-pair link classes.
     classes: LinkClassMatrix,
     events: EventQueue,
     net: NetworkModel,
-    /// Per-node random streams, by [`NodeIdx`] — a node's draws depend only
-    /// on its own activity, never on engine interleaving.
-    rngs: Vec<SplitMix64>,
-    /// Per-node event-emission counters, by [`NodeIdx`] (the `seq` of
-    /// runtime [`EventKey`]s).
-    emit: Vec<u64>,
     /// Stream + counter for runtime events created outside the layout.
     ext_rng: SplitMix64,
     ext_emit: u64,
@@ -230,7 +227,10 @@ impl Substrate for Simulation {
         // The sender's private stream and emission counter: both the frame
         // fate and the event key derive from the sender alone.
         let (rng, src, emit) = match fi {
-            Some(i) => (&mut self.rngs[i.as_usize()], i.0, &mut self.emit[i.as_usize()]),
+            Some(i) => {
+                let slot = &mut self.slots[i.as_usize()];
+                (&mut slot.rng, i.0, &mut slot.emit)
+            }
             None => (&mut self.ext_rng, EXT_SRC, &mut self.ext_emit),
         };
         let Some(plan) = self.net.plan_frame(class, rng) else {
@@ -263,33 +263,18 @@ impl Substrate for Simulation {
 
     fn arm_timer(&mut self, node: NodeId, kind: TimerKind, after: u64) {
         let Some(idx) = self.indexer.index_of(node) else { return };
-        let i = idx.as_usize();
-        let gen = {
-            let g = &mut self.timer_gens[i];
-            *g += 1;
-            *g
-        };
-        let slots = &mut self.timer_slots[i];
-        match slots.iter_mut().find(|s| s.kind == kind) {
-            Some(slot) => slot.gen = gen,
-            None => slots.push(TimerSlot { kind, gen }),
-        }
-        let key = EventKey::emitted(idx.0, self.emit[i]);
-        self.emit[i] += 1;
+        let (gen, seq) = self.slots[idx.as_usize()].arm_timer(kind);
         self.events.push(
             self.now,
             self.now.saturating_add(after),
-            key,
+            EventKey::emitted(idx.0, seq),
             EventKind::Timer { node: idx, kind, gen },
         );
     }
 
     fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {
         let Some(idx) = self.indexer.index_of(node) else { return };
-        let slots = &mut self.timer_slots[idx.as_usize()];
-        if let Some(pos) = slots.iter().position(|s| s.kind == kind) {
-            slots.swap_remove(pos);
-        }
+        self.slots[idx.as_usize()].timers.cancel(kind);
     }
 
     fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
@@ -297,7 +282,7 @@ impl Substrate for Simulation {
         let Some(idx) = self.indexer.index_of(node) else { return };
         let i = idx.as_usize();
         if let AppEvent::QueryResult { .. } = &event {
-            let t0 = std::mem::replace(&mut self.query_started[i], NO_QUERY);
+            let t0 = std::mem::replace(&mut self.slots[i].query_started, NO_QUERY);
             if t0 != NO_QUERY {
                 let dt = self.now - t0;
                 self.metrics.query_latency.record(dt);
@@ -355,13 +340,7 @@ impl Simulation {
             })
             .collect();
         let classes = LinkClassMatrix::new(&layout, &indexer);
-        // Streams are keyed by the stable NodeId (not the dense index), so
-        // any engine covering any subset of the layout derives identical
-        // streams for identical nodes.
-        let rngs = indexer
-            .iter()
-            .map(|(_, id)| SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0))
-            .collect();
+        let slots = indexer.iter().map(|(_, id)| NodeSlot::new(seed, id)).collect();
         let obs_ids: Vec<NodeId> = indexer.iter().map(|(_, id)| id).collect();
         let obs = EngineObs::new(&obs_ids, &layout);
         Simulation {
@@ -370,18 +349,13 @@ impl Simulation {
             metrics: Metrics::default(),
             indexer,
             nodes,
-            crashed: vec![false; n],
+            slots,
             crashed_ids: BTreeSet::new(),
             delivered: vec![Vec::new(); n],
             delivered_cap: usize::MAX,
-            timer_slots: vec![Vec::new(); n],
-            timer_gens: vec![0; n],
-            query_started: vec![NO_QUERY; n],
             classes,
             events: EventQueue::new(queue),
             net: NetworkModel::new(net),
-            rngs,
-            emit: vec![0; n],
             ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
             ext_emit: 0,
             sched_seq: 0,
@@ -451,7 +425,7 @@ impl Simulation {
     /// Hot-path [`Simulation::inject`]: the node is already resolved.
     fn inject_idx(&mut self, idx: NodeIdx, input: Input) {
         let i = idx.as_usize();
-        if self.crashed[i] {
+        if self.slots[i].crashed {
             return;
         }
         let mut outs = std::mem::take(&mut self.out_buf);
@@ -554,7 +528,7 @@ impl Simulation {
         self.now = self.now.max(at);
         match kind {
             EventKind::Deliver { from, to, frame } => {
-                let crashed = to.is_some_and(|idx| self.crashed[idx.as_usize()]);
+                let crashed = to.is_some_and(|idx| self.slots[idx.as_usize()].crashed);
                 if !crashed {
                     self.deliver_frame(from, to, &frame);
                 }
@@ -565,25 +539,20 @@ impl Simulation {
                 // timer: a re-arm or cancel since this entry was queued
                 // bumped or removed the slot, marking the entry stale.
                 let i = node.as_usize();
-                if !self.crashed[i] {
-                    let slots = &mut self.timer_slots[i];
-                    match slots.iter().position(|s| s.gen == gen) {
-                        Some(pos) => {
-                            slots.swap_remove(pos);
-                            if self.obs.enabled {
-                                self.obs.on_timer_fire(self.now, i, kind);
-                            }
-                            self.inject_idx(node, Input::Timer(kind));
-                        }
-                        None => self.metrics.stale_timer_skips += 1,
+                let slot = &mut self.slots[i];
+                if !slot.crashed && slot.timers.fire(gen) {
+                    self.metrics.record_timer_fire(kind);
+                    if self.obs.enabled {
+                        self.obs.on_timer_fire(self.now, i, kind);
                     }
+                    self.inject_idx(node, Input::Timer(kind));
                 } else {
                     self.metrics.stale_timer_skips += 1;
                 }
             }
             EventKind::MhDeliver { ap, frame } => {
                 let idx = self.indexer.index_of(ap);
-                let crashed = idx.is_some_and(|i| self.crashed[i.as_usize()]);
+                let crashed = idx.is_some_and(|i| self.slots[i.as_usize()].crashed);
                 if !crashed {
                     match wire::decode(&frame) {
                         Ok(env) if env.gid == self.layout.gid => {
@@ -603,8 +572,8 @@ impl Simulation {
                 self.crashed_ids.insert(node);
                 if let Some(idx) = self.indexer.index_of(node) {
                     let i = idx.as_usize();
-                    self.crashed[i] = true;
-                    self.timer_slots[i].clear();
+                    self.slots[i].crashed = true;
+                    self.slots[i].timers.clear();
                     if self.obs.enabled {
                         self.obs.on_crash(self.now, i);
                     }
@@ -612,7 +581,7 @@ impl Simulation {
             }
             EventKind::QueryStart { node, scope } => {
                 if let Some(idx) = self.indexer.index_of(node) {
-                    self.query_started[idx.as_usize()] = self.now;
+                    self.slots[idx.as_usize()].query_started = self.now;
                     if self.obs.enabled {
                         self.obs.on_query_issue(self.now, idx.as_usize());
                     }
@@ -713,7 +682,7 @@ impl Simulation {
         let nodes = self
             .indexer
             .iter()
-            .filter(|&(idx, _)| !self.crashed[idx.as_usize()])
+            .filter(|&(idx, _)| !self.slots[idx.as_usize()].crashed)
             .map(|(idx, _)| self.nodes[idx.as_usize()].digest())
             .collect();
         SystemDigest { now: self.now, nodes, crashed: self.crashed_ids.clone(), settled }
@@ -771,7 +740,7 @@ impl Simulation {
     /// Whether `node` has crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
         match self.indexer.index_of(node) {
-            Some(idx) => self.crashed[idx.as_usize()],
+            Some(idx) => self.slots[idx.as_usize()].crashed,
             None => self.crashed_ids.contains(&node),
         }
     }
@@ -858,7 +827,7 @@ impl Simulation {
     /// node arena, timer slots, delivered-event buffers and the event
     /// queue. See [`MemoryStats`] for what is (and is not) counted.
     pub fn memory_stats(&self) -> MemoryStats {
-        memory_stats_of(&self.nodes, &self.timer_slots, &self.delivered, self.events.len())
+        memory_stats_of(&self.nodes, &self.slots, &self.delivered, &self.events)
     }
 }
 
@@ -868,21 +837,25 @@ impl Simulation {
 /// node's owned collections (rosters, member lists, message queue) at
 /// their current lengths, plus a fixed per-entry overhead for B-tree
 /// collections. Allocator slack and `Vec` growth headroom are not
-/// modelled. The point is the *scaling* signal — bytes per node across a
-/// shard-count or node-count sweep — not byte-exact accounting.
+/// modelled, with one exception: the event queue is charged its retained
+/// *capacity* ([`MemoryStats::queue_bytes`]), because that — not its
+/// occupancy — is what a wheel that never shrank used to hide. The point
+/// is the *scaling* signal — bytes per node across a shard-count or
+/// node-count sweep — not byte-exact accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryStats {
     /// Nodes covered by these stats.
     pub nodes: usize,
     /// Node arena: `NodeState` structs plus their owned collections.
     pub node_state_bytes: usize,
-    /// Live timer slots across all nodes.
+    /// The per-node live-timer sets: their inline slots plus what spilled.
     pub timer_bytes: usize,
     /// Retained application deliveries across all nodes.
     pub delivered_bytes: usize,
     /// Entries currently queued (stale timer entries included).
     pub queue_entries: usize,
-    /// Event-queue storage for those entries.
+    /// Event-queue storage held: the *capacity* of the wheel buckets and the
+    /// far heap, not just the slots those entries fill.
     pub queue_bytes: usize,
 }
 
@@ -913,16 +886,13 @@ impl MemoryStats {
 /// their own slices).
 pub(crate) fn memory_stats_of(
     nodes: &[NodeState],
-    timer_slots: &[Vec<TimerSlot>],
+    slots: &[NodeSlot],
     delivered: &[Vec<(u64, AppEvent)>],
-    queue_entries: usize,
+    events: &EventQueue,
 ) -> MemoryStats {
     use std::mem::size_of;
     let node_state_bytes = nodes.iter().map(|n| n.approx_bytes()).sum::<usize>();
-    let timer_bytes = timer_slots
-        .iter()
-        .map(|s| size_of::<Vec<TimerSlot>>() + s.len() * size_of::<TimerSlot>())
-        .sum();
+    let timer_bytes = slots.iter().map(|s| s.timers.approx_bytes()).sum();
     let delivered_bytes = delivered
         .iter()
         .map(|d| size_of::<Vec<(u64, AppEvent)>>() + d.len() * size_of::<(u64, AppEvent)>())
@@ -932,8 +902,8 @@ pub(crate) fn memory_stats_of(
         node_state_bytes,
         timer_bytes,
         delivered_bytes,
-        queue_entries,
-        queue_bytes: queue_entries * size_of::<Event>(),
+        queue_entries: events.len(),
+        queue_bytes: events.retained_bytes(),
     }
 }
 

@@ -105,3 +105,35 @@ fn partition_dropped_and_dup_reorder_counters_move_only_when_configured() {
     assert!(sim.metrics.reordered > 0, "reordering never fired");
     assert_eq!(sim.metrics.partition_dropped, 0);
 }
+
+#[test]
+fn timer_fires_count_live_expiries_by_kind_on_both_engines() {
+    // A quiet, crash-free continuous hierarchy: heartbeats and token kicks
+    // fire, every retransmission deadline is cancelled by its ack (its
+    // queue entry drains as a stale skip), and nobody times out.
+    let mut cfg = ProtocolConfig::live();
+    cfg.token_interval = 20;
+    cfg.heartbeat_interval = 100;
+    let sc = Scenario::new("event mix", 2, 4)
+        .with_cfg(cfg)
+        .with_net(NetConfig::unit())
+        .with_duration(3_000);
+    let mut sim = sc.build_sim();
+    sim.run_until(sc.duration);
+    let fires: std::collections::BTreeMap<_, _> = sim.metrics.timer_fires().collect();
+    assert!(fires["heartbeat"] >= 20 * 29, "20 nodes beat every 100 ticks: {fires:?}");
+    assert!(fires["token_kick"] > 0, "{fires:?}");
+    assert_eq!(fires["token_retransmit"], 0, "every token was acknowledged in time: {fires:?}");
+    assert_eq!(fires["parent_timeout"] + fires["child_timeout"], 0, "{fires:?}");
+    assert!(sim.metrics.stale_timer_skips > 0);
+
+    // Shards count their own nodes' expiries; the merge is the same mix.
+    let mut par = sc.try_build_par(2).expect("scenario validates");
+    par.run_until(sc.duration);
+    let merged = par.metrics();
+    assert_eq!(
+        merged.timer_fires().collect::<Vec<_>>(),
+        sim.metrics.timer_fires().collect::<Vec<_>>()
+    );
+    assert_eq!(merged.stale_timer_skips, sim.metrics.stale_timer_skips);
+}

@@ -2,8 +2,8 @@
 //! through the sequential engine and a shard-count sweep of the
 //! conservative-parallel engine (`rgb_sim::par`), reporting **events/sec**
 //! (median of N runs), speedup vs sequential, per-pair lookahead range,
-//! window/batching counters, bytes/node and peak RSS per mode, written as
-//! `BENCH_scale.json` (schema `rgb-bench/scale-v2`).
+//! window/batching counters, per-shard loads, bytes/node and peak RSS per
+//! mode, written as `BENCH_scale.json` (schema `rgb-bench/scale-v2`).
 //!
 //! ```text
 //! cargo run --release -p rgb-bench --bin bench_scale -- \
@@ -46,6 +46,15 @@
 //!   exceeds `SMOKE_PEAK_RSS_PER_NODE` bytes per NE, so memory that grows
 //!   with run time rather than with the world (a queue that never
 //!   shrinks) cannot come back unnoticed.
+//! - Every parallel mode records what each shard did — `shards`: `nodes`,
+//!   `events`, `execute_ms`, `barrier_ms` per shard, from
+//!   `ParSimulation::shard_loads` — and `event_imbalance`, the `max / mean`
+//!   of the per-shard event counts (both `[]` / `null` for `seq`). The
+//!   static ring split is the whole load balance of a windowed run, so the
+//!   `--smoke` tier fails when any shard count of the sweep reads above
+//!   `SMOKE_EVENT_IMBALANCE`; the counts are deterministic, so the gate
+//!   needs no cores. The `--obs-out` document carries the same two members
+//!   for its 4-shard pass.
 //! - Every mode also records its `event_mix` from the engine's counters:
 //!   live timer expiries by kind, stale timer pops and the remainder
 //!   (frame deliveries plus scheduled events). Events/sec counts all of
@@ -60,8 +69,8 @@ use rgb_core::obs::{FlightRecorder, TraceSink};
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::{
-    obs_json, prometheus_text, ChurnParams, LatencyBand, Metrics, NetConfig, ObsReport, ParStats,
-    Scenario, Simulation, Timeline,
+    obs_json, prometheus_text, shard_loads_json, ChurnParams, LatencyBand, Metrics, NetConfig,
+    ObsReport, ParStats, Scenario, ShardLoad, Simulation, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -74,6 +83,14 @@ use std::time::Instant;
 /// while the timer wheel kept every bucket's high-water capacity (a cost
 /// that grew with every further heartbeat period).
 const SMOKE_PEAK_RSS_PER_NODE: u64 = 4_300;
+
+/// Event-imbalance ceiling of the `--smoke` tier, `max / mean` of the events
+/// each shard processed, held against every shard count of the sweep. The
+/// smoke scenario reads 1.001 / 1.005 / 1.012 at 2 / 4 / 8 shards; a cut
+/// that hands one shard `2/(k+1)` of the world reads 1.33 / 1.60 / 1.78.
+/// Event counts are deterministic, so unlike the speedup gate this one
+/// holds on a single-core runner.
+const SMOKE_EVENT_IMBALANCE: f64 = 1.05;
 
 /// The process's peak resident set (`VmHWM`) in bytes; `None` where
 /// `/proc/self/status` is missing or unreadable.
@@ -105,6 +122,9 @@ struct Measurement {
     /// `(global floor, max pair floor)` from the lookahead matrix.
     lookahead: Option<(u64, u64)>,
     par_stats: Option<ParStats>,
+    /// What each shard held and did in the timed part of the first run
+    /// (empty for the sequential mode).
+    shards: Vec<ShardLoad>,
 }
 
 /// Median of an unsorted sample (mean of the middle two when even).
@@ -208,6 +228,7 @@ fn run_seq(scenario: &Scenario, runs: usize) -> Measurement {
         event_mix: mix,
         lookahead: None,
         par_stats: None,
+        shards: Vec::new(),
     }
 }
 
@@ -218,20 +239,26 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
     let mut bytes_per_node = 0usize;
     let mut lookahead = (0u64, 0u64);
     let mut par_stats = ParStats::default();
+    let mut loads = Vec::new();
     let mut mix = String::new();
     reset_peak_rss();
     for run in 0..runs {
         let mut sim = scenario.try_build_par(shards).expect("scenario validates");
-        let booted = sim.processed_events();
+        let booted = sim.shard_loads();
         let start = Instant::now();
         sim.run_until(scenario.duration);
         wall_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        let n = sim.processed_events() - booted;
+        let mut run_loads = sim.shard_loads();
+        for (load, boot) in run_loads.iter_mut().zip(&booted) {
+            load.processed -= boot.processed;
+        }
+        let n: u64 = run_loads.iter().map(|l| l.processed).sum();
         if run == 0 {
             events = n;
             bytes_per_node = sim.memory_stats().bytes_per_node();
             lookahead = sim.lookahead_range();
             par_stats = sim.par_stats();
+            loads = run_loads;
             mix = event_mix(n, &sim.metrics());
         } else {
             assert_eq!(n, events, "parallel engine must be deterministic across runs");
@@ -249,6 +276,7 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
         event_mix: mix,
         lookahead: Some(lookahead),
         par_stats: Some(par_stats),
+        shards: loads,
     }
 }
 
@@ -274,6 +302,7 @@ fn run_obs(scenario: &Scenario, shards: usize, path: &str) {
     let wall_nanos = start.elapsed().as_nanos();
     let metrics = sim.metrics();
     let trace = sim.trace_snapshot();
+    let shard_loads = sim.shard_loads();
     let report = ObsReport {
         scenario: &scenario.name,
         backend: "par",
@@ -283,6 +312,7 @@ fn run_obs(scenario: &Scenario, shards: usize, path: &str) {
         timeline: &timeline,
         trace: &trace,
         trace_dropped: sim.trace_dropped(),
+        shards: &shard_loads,
     };
     std::fs::write(path, obs_json(&report)).expect("write obs json");
     let prom_path = format!("{path}.prom");
@@ -410,6 +440,7 @@ fn render_json(
                 let _ = write!(out, ", \"par_stats\": null");
             }
         }
+        let _ = write!(out, ", {}", shard_loads_json(&m.shards));
         out.push_str(" }");
         out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
     }
@@ -530,6 +561,22 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("memory ceiling: seq peaked at {per_node} of {SMOKE_PEAK_RSS_PER_NODE} B/node");
+    }
+
+    if smoke {
+        for m in &runs {
+            let Some(imbalance) = ShardLoad::event_imbalance(&m.shards) else { continue };
+            if imbalance > SMOKE_EVENT_IMBALANCE {
+                let events: Vec<u64> = m.shards.iter().map(|l| l.processed).collect();
+                eprintln!(
+                    "SHARD IMBALANCE: {} max/mean events {imbalance:.3} > \
+                     {SMOKE_EVENT_IMBALANCE}; shards processed {events:?}",
+                    m.mode
+                );
+                std::process::exit(1);
+            }
+            eprintln!("shard balance: {} max/mean events {imbalance:.3}", m.mode);
+        }
     }
 
     if let Some(gate) = min_speedup {

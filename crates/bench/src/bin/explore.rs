@@ -668,6 +668,7 @@ fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
 
     let metrics = par.metrics();
     let trace = par.trace_snapshot();
+    let shard_loads = par.shard_loads();
     let report = ObsReport {
         scenario: &scenario.name,
         backend: "par",
@@ -677,6 +678,7 @@ fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
         timeline: &timeline,
         trace: &trace,
         trace_dropped: par.trace_dropped(),
+        shards: &shard_loads,
     };
     println!(
         "  {} trace records ({} evicted); repair p50 {:?} / p99 {:?} ticks",

@@ -110,6 +110,7 @@ fn write_obs(path: &str) {
         timeline: &timeline,
         trace: &trace,
         trace_dropped: sim.trace_dropped(),
+        shards: &[],
     };
     std::fs::write(path, obs_json(&report)).expect("write obs json");
     let prom = format!("{path}.prom");

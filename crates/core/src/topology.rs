@@ -368,15 +368,33 @@ impl HierarchyLayout {
     }
 
     /// Hierarchy-aware partition of the layout's rings into at most
-    /// `shards` groups of roughly equal node count.
+    /// `shards` groups of equal node count, to within one ring.
     ///
     /// Rings are never split (so intra-ring traffic — the bulk of the
     /// token protocol — stays group-local), and groups are contiguous cuts
     /// of the [`HierarchyLayout::rings_dfs`] order (so a sponsored subtree
     /// tends to share its sponsor's group, keeping most parent–child
     /// traffic local too). The returned vector always has exactly `shards`
-    /// entries; trailing groups may be empty when the layout has fewer
-    /// rings than requested shards.
+    /// entries; only trailing groups may be empty — when the layout has
+    /// fewer rings than requested shards, or when rings larger than a fair
+    /// share use up the order before the last target.
+    ///
+    /// # Algorithm and bound
+    ///
+    /// With `T` nodes, `k` shards and `M` the largest ring, group `i`
+    /// (1-based) ends at the ring boundary nearest the ideal prefix
+    /// `i·T/k` — the lower one on a tie — and at least one ring after the
+    /// previous cut, so no group before the tail is empty. The targets are
+    /// fixed multiples of `T/k`, not shares of what earlier groups left
+    /// over, so an error made at one cut is not handed on to the next.
+    ///
+    /// Every boundary is within `M/2` of its target (some ring straddles
+    /// it), hence every non-empty group holds `T/k ± M` nodes. A cut is
+    /// only ever forced when `M ≥ T/k`: otherwise consecutive targets lie
+    /// more than `M` apart and their nearest boundaries differ. The forced
+    /// group is a single ring of at most `M` nodes, and a cut pushed past
+    /// its target only shrinks the group after it — where `M ≥ T/k` makes
+    /// the lower bound vacuous — so the bound holds for every layout.
     ///
     /// # Panics
     ///
@@ -385,22 +403,22 @@ impl HierarchyLayout {
         assert!(shards > 0, "need at least one shard");
         let mut groups: Vec<Vec<RingId>> = vec![Vec::new(); shards];
         let total: usize = self.rings.iter().map(|r| r.nodes.len()).sum();
-        let mut remaining_nodes = total;
         let mut group = 0usize;
-        let mut group_nodes = 0usize;
+        let mut placed = 0usize;
         for id in self.rings_dfs() {
             let size = self.ring(id).map(|r| r.nodes.len()).unwrap_or(0);
-            // Close the group once it reached its fair share of what is
-            // left — the classic streaming balance heuristic.
-            let remaining_groups = shards - group;
-            let target = remaining_nodes.div_ceil(remaining_groups);
-            if group_nodes > 0 && group_nodes + size > target && group + 1 < shards {
+            // Distances to the open group's ideal end, scaled by `shards`
+            // so `i·T/k` stays an integer. Prefix sums only grow, so the
+            // first boundary the next ring would not bring closer is the
+            // nearest one.
+            let ideal = (group + 1) * total;
+            let here = (placed * shards).abs_diff(ideal);
+            let past = ((placed + size) * shards).abs_diff(ideal);
+            if !groups[group].is_empty() && here <= past && group + 1 < shards {
                 group += 1;
-                group_nodes = 0;
             }
             groups[group].push(id);
-            group_nodes += size;
-            remaining_nodes -= size;
+            placed += size;
         }
         groups
     }
@@ -658,27 +676,71 @@ mod tests {
         }
     }
 
+    /// Node count of every group of `layout.partition_rings(shards)`, after
+    /// checking the cut's contract: whole rings, contiguous cuts of the DFS
+    /// order, empty groups only at the tail, and every non-empty group
+    /// within one largest ring of `T/k`.
+    fn checked_group_nodes(layout: &HierarchyLayout, shards: usize) -> Vec<usize> {
+        let groups = layout.partition_rings(shards);
+        assert_eq!(groups.len(), shards);
+        // Concatenated, the groups are the DFS order itself: every ring in
+        // exactly one group, every group a contiguous cut.
+        let joined: Vec<RingId> = groups.iter().flatten().copied().collect();
+        assert_eq!(joined, layout.rings_dfs(), "{shards} shards");
+        let first_empty = groups.iter().position(|g| g.is_empty()).unwrap_or(shards);
+        assert!(groups[first_empty..].iter().all(|g| g.is_empty()), "{shards} shards: {groups:?}");
+        let nodes: Vec<usize> = groups
+            .iter()
+            .map(|g| g.iter().map(|&r| layout.ring(r).unwrap().nodes.len()).sum())
+            .collect();
+        let total = layout.node_count();
+        let largest = layout.rings.iter().map(|r| r.nodes.len()).max().unwrap();
+        for &n in nodes.iter().filter(|&&n| n > 0) {
+            // |n − T/k| ≤ M, scaled by k to stay in integers.
+            assert!(
+                (n * shards).abs_diff(total) <= largest * shards,
+                "{shards} shards: a group of {n} is more than one ring ({largest}) off \
+                 {total}/{shards}; groups hold {nodes:?}"
+            );
+        }
+        nodes
+    }
+
     #[test]
     fn partition_rings_is_whole_ring_and_balanced() {
-        let layout = HierarchySpec::new(3, 4).build(GroupId(1)).unwrap();
-        for shards in [1usize, 2, 3, 4, 8] {
-            let groups = layout.partition_rings(shards);
-            assert_eq!(groups.len(), shards);
-            // Every ring appears in exactly one group.
-            let mut all: Vec<RingId> = groups.iter().flatten().copied().collect();
-            all.sort();
-            let mut expect: Vec<RingId> = layout.rings.iter().map(|r| r.id).collect();
-            expect.sort();
-            assert_eq!(all, expect, "{shards} shards");
-            // Balance: no group holds more than twice its fair share.
-            let total = layout.node_count();
-            for g in &groups {
-                let nodes: usize = g.iter().map(|&r| layout.ring(r).unwrap().nodes.len()).sum();
-                assert!(
-                    nodes <= total.div_ceil(shards) * 2,
-                    "{shards} shards: group of {nodes}/{total} nodes"
-                );
+        let ids = |r: std::ops::Range<u64>| r.map(NodeId).collect::<Vec<_>>();
+        // The irregular layout of `node.rs`'s tests: rings of 1 to 4 nodes.
+        let irregular = HierarchyLayout::custom(
+            GroupId(1),
+            vec![
+                vec![ids(0..3)],
+                vec![ids(10..12), ids(12..16)],
+                vec![ids(20..21), ids(21..24), ids(24..26)],
+            ],
+        )
+        .unwrap();
+        let mut layouts = vec![irregular];
+        for (h, r) in [(3, 4), (3, 6), (2, 13), (4, 3)] {
+            layouts.push(HierarchySpec::new(h, r).build(GroupId(1)).unwrap());
+        }
+        for layout in &layouts {
+            for shards in 1..=16 {
+                checked_group_nodes(layout, shards);
             }
+        }
+        // h=3 r=4 is 84 nodes in rings of 4: the even split exists, and is
+        // found.
+        assert_eq!(checked_group_nodes(&layouts[1], 3), vec![28, 28, 28]);
+    }
+
+    #[test]
+    fn partition_rings_splits_the_fleet_shape_evenly() {
+        // h=3 r=46 is the 99,498-NE shape the benchmark shards.
+        let layout = HierarchySpec::new(3, 46).build(GroupId(1)).unwrap();
+        for shards in [2usize, 3, 4, 8] {
+            let nodes = checked_group_nodes(&layout, shards);
+            let (min, max) = (nodes.iter().min().unwrap(), nodes.iter().max().unwrap());
+            assert!(max * 100 <= min * 101, "{shards} shards: max/min > 1.01 in {nodes:?}");
         }
     }
 

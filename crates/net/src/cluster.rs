@@ -3,7 +3,10 @@
 //!
 //! Nodes are assigned to workers ring-whole and DFS-contiguous
 //! ([`HierarchyLayout::partition_rings`]), so the token that circulates a
-//! ring usually stays inside one worker's mailbox. The operator API talks
+//! ring usually stays inside one worker's mailbox. That cut is the one the
+//! sharded simulator runs on, with the same bound: every worker hosts its
+//! even share of the NEs to within one ring
+//! ([`Cluster::worker_node_counts`]). The operator API talks
 //! to workers with **blocking** sends: an operator thread parking on a full
 //! mailbox is safe (it is outside the worker-to-worker graph, so no cycle),
 //! whereas the data plane inside workers never parks — see
@@ -31,6 +34,7 @@ pub struct Cluster {
     events_rx: Receiver<(NodeId, AppEvent)>,
     events_tx: Sender<(NodeId, AppEvent)>,
     worker_txs: Vec<Sender<ToWorker>>,
+    worker_nodes: Vec<usize>,
     handles: Vec<JoinHandle<()>>,
     shared: Arc<ReactorShared>,
     tick: Duration,
@@ -57,6 +61,7 @@ impl Cluster {
         // before a single thread exists.
         let mut specs: Vec<(Vec<NodeState>, Receiver<ToWorker>)> = Vec::new();
         let mut worker_txs = Vec::new();
+        let mut worker_nodes = Vec::new();
         let ring_counts = layout.level_ring_counts();
         for rings in layout.partition_rings(workers) {
             let (tx, rx) = bounded(live.mailbox_capacity);
@@ -85,6 +90,7 @@ impl Cluster {
                 continue; // more workers than the layout can use
             }
             worker_txs.push(tx);
+            worker_nodes.push(states.len());
             specs.push((states, rx));
         }
 
@@ -124,6 +130,7 @@ impl Cluster {
             events_rx,
             events_tx,
             worker_txs,
+            worker_nodes,
             handles,
             shared,
             tick: live.tick,
@@ -138,6 +145,12 @@ impl Cluster {
     /// Number of reactor workers actually running.
     pub fn worker_count(&self) -> usize {
         self.handles.len()
+    }
+
+    /// NEs deployed on each running worker, in worker order (crashes do
+    /// not change it): the split whose evenness is the pool's load balance.
+    pub fn worker_node_counts(&self) -> Vec<usize> {
+        self.worker_nodes.clone()
     }
 
     /// Deliver a mobile-host event to an access proxy.

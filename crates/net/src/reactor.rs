@@ -4,7 +4,9 @@
 //! This replaces the thread-per-node loop of earlier revisions. Each
 //! **worker** owns a contiguous slice of the hierarchy (whole rings,
 //! assigned by [`rgb_core::topology::HierarchyLayout::partition_rings`], so
-//! intra-ring token traffic stays worker-local), one bounded mailbox of
+//! intra-ring token traffic stays worker-local, and within one ring of an
+//! even share of the NEs, so no worker is the slow one by construction),
+//! one bounded mailbox of
 //! [`ToWorker`] messages, and one wall-tick `TimerWheel` — the same
 //! bucketed wheel-plus-far-heap design as the simulator's event queue
 //! (`crates/sim/src/queue.rs`), minus the determinism machinery a

@@ -209,6 +209,23 @@ fn explicit_worker_counts_deploy_and_converge() {
 }
 
 #[test]
+fn workers_host_even_shares_to_within_one_ring() {
+    // h=3 r=13 is the 2,379-NE shape of the benchmark's live workload.
+    for workers in [2usize, 3] {
+        let layout = HierarchySpec::new(3, 13).build(GroupId(1)).unwrap();
+        let cluster =
+            Cluster::try_new(layout, &fast_cfg(), &LiveConfig::default().with_workers(workers))
+                .expect("cluster starts");
+        let counts = cluster.worker_node_counts();
+        cluster.shutdown();
+        assert_eq!(counts.len(), workers);
+        assert_eq!(counts.iter().sum::<usize>(), 2_379);
+        let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
+        assert!(max - min <= 13, "{workers} workers differ by more than one ring: {counts:?}");
+    }
+}
+
+#[test]
 fn invalid_config_is_a_typed_error_not_a_panic() {
     let layout = HierarchySpec::new(1, 3).build(GroupId(1)).unwrap();
     let err = match Cluster::try_new(

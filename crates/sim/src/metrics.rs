@@ -70,6 +70,33 @@ impl ParStats {
     }
 }
 
+/// What one shard of a [`crate::par::ParSimulation`] held and did: the
+/// per-shard terms of [`crate::par::ParSimulation::par_stats`] and
+/// [`crate::par::ParSimulation::processed_events`], which only report sums.
+/// A static split is the whole load balance of a windowed run, and a sum
+/// cannot show an uneven one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardLoad {
+    /// NEs the shard owns.
+    pub nodes: usize,
+    /// Events the shard processed (boot included).
+    pub processed: u64,
+    /// The shard's own window accounting.
+    pub par: ParStats,
+}
+
+impl ShardLoad {
+    /// `max / mean` of `processed` over `loads`: 1.0 is an even split, `k`
+    /// is one of `k` shards doing everything; `None` when nothing was
+    /// processed. Event counts are deterministic, so this reads the same on
+    /// any host.
+    pub fn event_imbalance(loads: &[ShardLoad]) -> Option<f64> {
+        let total: u64 = loads.iter().map(|l| l.processed).sum();
+        let max = loads.iter().map(|l| l.processed).max()?;
+        (total > 0).then(|| max as f64 * loads.len() as f64 / total as f64)
+    }
+}
+
 /// Counters collected during a simulation.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {

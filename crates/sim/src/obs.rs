@@ -17,7 +17,7 @@
 //! Everything is gated on one `enabled` flag (default off, `NullSink`),
 //! so runs that do not opt in keep current throughput.
 
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad};
 use rgb_core::obs::{NullSink, ObsKind, ObsRecord, TraceSink};
 use rgb_core::prelude::{AppEvent, ChangeId, HierarchyLayout, Msg, NodeId, RingId, TimerKind};
 use std::collections::BTreeMap;
@@ -372,6 +372,10 @@ pub struct ObsReport<'a> {
     pub trace: &'a [ObsRecord],
     /// Records the flight recorder evicted.
     pub trace_dropped: u64,
+    /// Per-shard loads of a parallel run
+    /// ([`crate::par::ParSimulation::shard_loads`]); empty for the other
+    /// backends.
+    pub shards: &'a [ShardLoad],
 }
 
 fn json_escape(s: &str) -> String {
@@ -385,6 +389,30 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// The two members that the `rgb-obs v1` document and each
+/// `rgb-bench/scale-v2` mode carry about a parallel run's split, as a JSON
+/// fragment without enclosing braces: `"shards"`, one `{nodes, events,
+/// execute_ms, barrier_ms}` object per shard in shard order, and
+/// `"event_imbalance"` ([`ShardLoad::event_imbalance`], `null` when there is
+/// none).
+pub fn shard_loads_json(loads: &[ShardLoad]) -> String {
+    let shards: Vec<String> = loads
+        .iter()
+        .map(|l| {
+            format!(
+                r#"{{"nodes":{},"events":{},"execute_ms":{:.1},"barrier_ms":{:.1}}}"#,
+                l.nodes,
+                l.processed,
+                l.par.execute_nanos as f64 / 1e6,
+                l.par.barrier_nanos as f64 / 1e6,
+            )
+        })
+        .collect();
+    let imbalance =
+        ShardLoad::event_imbalance(loads).map_or("null".to_owned(), |x| format!("{x:.3}"));
+    format!(r#""shards": [{}], "event_imbalance": {imbalance}"#, shards.join(", "))
 }
 
 fn hist_json(h: &rgb_core::obs::Histogram) -> String {
@@ -467,6 +495,7 @@ pub fn obs_json(r: &ObsReport) -> String {
         m.par.barrier_nanos,
         m.par.drain_nanos,
     ));
+    out.push_str(&format!("  {},\n", shard_loads_json(r.shards)));
     out.push_str("  \"levels\": [");
     let mut first = true;
     for (level, lvl) in m.levels.iter() {
@@ -669,6 +698,9 @@ mod tests {
         let mut m = Metrics::default();
         m.record_timer_fire(rgb_core::prelude::TimerKind::Heartbeat);
         let t = Timeline::new();
+        let mut busy = ShardLoad { nodes: 6, processed: 30, ..ShardLoad::default() };
+        busy.par.execute_nanos = 2_500_000;
+        let idle = ShardLoad { nodes: 3, processed: 10, ..ShardLoad::default() };
         let doc = obs_json(&ObsReport {
             scenario: "unit",
             backend: "sim",
@@ -678,8 +710,15 @@ mod tests {
             timeline: &t,
             trace: &[],
             trace_dropped: 0,
+            shards: &[busy, idle],
         });
         assert!(doc.contains("\"schema\": \"rgb-obs v1\""));
+        assert!(doc.contains(
+            "\"shards\": [{\"nodes\":6,\"events\":30,\"execute_ms\":2.5,\"barrier_ms\":0.0}, \
+             {\"nodes\":3,\"events\":10,\"execute_ms\":0.0,\"barrier_ms\":0.0}], \
+             \"event_imbalance\": 1.500,"
+        ));
+        assert!(shard_loads_json(&[]).ends_with("\"shards\": [], \"event_imbalance\": null"));
         assert!(doc.contains("\"counters\""));
         assert!(doc.contains("\"timer_fires\": {\"token_retransmit\":0,"));
         assert!(doc.contains("\"heartbeat\":1,"));

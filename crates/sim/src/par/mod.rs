@@ -7,7 +7,13 @@
 //!    ([`rgb_core::topology::HierarchyLayout::partition_rings`] via
 //!    `partition::ShardMap`): rings are never split and sponsored
 //!    subtrees stay contiguous, so intra-ring token traffic and most
-//!    parent–child traffic is shard-local.
+//!    parent–child traffic is shard-local. The cut is also the whole load
+//!    balance — a shard is one dispatch loop with no scheduler behind it,
+//!    and every window ends at a barrier the slowest shard sets — so it
+//!    falls at the ring boundary nearest each ideal prefix and every shard
+//!    holds its even share of the nodes to within one ring.
+//!    [`ParSimulation::shard_loads`] reports what each shard held and did;
+//!    the sums alone cannot show an uneven split.
 //! 2. **Each shard** owns a dense local arena — node states, crash flags,
 //!    timer wheel, per-node random streams, metrics — and is a full
 //!    [`rgb_core::substrate::Substrate`] (`shard::Shard`).
@@ -54,7 +60,7 @@
 pub(crate) mod partition;
 pub(crate) mod shard;
 
-use crate::metrics::{Metrics, ParStats};
+use crate::metrics::{Metrics, ParStats, ShardLoad};
 use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
 use crate::queue::{Event, EventKey, EventKind};
 use crate::sim::{MemoryStats, WirelessHop};
@@ -273,6 +279,18 @@ impl ParSimulation {
             total.merge(&shard.metrics.par);
         }
         total
+    }
+
+    /// What each shard holds and did, in shard order (empty shards
+    /// included): the terms [`ParSimulation::par_stats`] and
+    /// [`ParSimulation::processed_events`] sum over. A shard that executes
+    /// for long while its peers wait at the barrier shows here and nowhere
+    /// else.
+    pub fn shard_loads(&self) -> Vec<ShardLoad> {
+        self.shards
+            .iter()
+            .map(|s| ShardLoad { nodes: s.len(), processed: s.processed, par: s.metrics.par })
+            .collect()
     }
 
     /// Current driver time.

@@ -24,7 +24,7 @@
 
 use rgb_core::prelude::*;
 use rgb_sim::workload::ChurnParams;
-use rgb_sim::{Backend, LatencyBand, NetConfig, Scenario, ScenarioOutcome};
+use rgb_sim::{Backend, LatencyBand, NetConfig, ParStats, Scenario, ScenarioOutcome};
 
 /// The fault-plan matrix (mirrors the engine-determinism scenarios, plus
 /// a partition so every scheduled-event kind crosses the driver).
@@ -140,7 +140,7 @@ fn par_digest_streams_match_sequential_across_the_matrix() {
     for seed in [1u64, 7, 23] {
         for sc in scenarios(seed) {
             let seq = digest_stream_seq(&sc, 499);
-            for shards in [1usize, 2, 4, 8] {
+            for shards in [1usize, 2, 3, 4, 5, 8] {
                 let par = digest_stream_par(&sc, 499, shards);
                 assert_eq!(
                     seq.len(),
@@ -233,6 +233,16 @@ fn windowed_runs_report_par_stats_and_lookahead_slack() {
     assert!(stats.batches > 0, "cross-shard traffic flows as batches");
     assert!(stats.frames_batched >= stats.batches, "every batch carries at least one frame");
     assert!(stats.max_batch >= 1);
+
+    // The per-shard loads are the terms of those sums, one per shard.
+    let loads = par.shard_loads();
+    assert_eq!(loads.len(), par.shard_count());
+    let mut summed = ParStats::default();
+    loads.iter().for_each(|l| summed.merge(&l.par));
+    assert_eq!(summed, stats);
+    assert_eq!(loads.iter().map(|l| l.processed).sum::<u64>(), par.processed_events());
+    assert_eq!(loads.iter().map(|l| l.nodes).sum::<usize>(), par.layout.node_count());
+    assert!(loads.iter().all(|l| l.par.windows > 0), "every shard ran windows: {loads:?}");
 
     // The merged (zero-lookahead) fallback runs no windows at all.
     let instant = &all[0];

@@ -1,8 +1,17 @@
 //! Multi-producer multi-consumer channels mirroring `crossbeam-channel`.
+//!
+//! One mutex-guarded queue and two condition variables. A `Condvar::notify_*`
+//! is a `futex` system call on Linux whether or not anyone waits, so the
+//! channel counts its parked receivers and senders under the same mutex and
+//! only signals when the count is non-zero: a hand-off between two running
+//! threads costs the lock and nothing else. The count is raised before the
+//! mutex is released into `wait` and the peer reads it while holding the
+//! mutex for its push or pop, so a thread that is about to park is always
+//! seen — no wake-up can be lost.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 struct Inner<T> {
@@ -10,6 +19,11 @@ struct Inner<T> {
     cap: Option<usize>,
     senders: usize,
     receivers: usize,
+    /// Receivers parked on `not_empty` (or about to be: raised under the
+    /// mutex that `wait` releases).
+    recv_waiting: usize,
+    /// Senders parked on `not_full`.
+    send_waiting: usize,
 }
 
 struct Shared<T> {
@@ -82,8 +96,33 @@ impl<T> fmt::Debug for Receiver<T> {
     }
 }
 
-fn lock<T>(shared: &Shared<T>) -> std::sync::MutexGuard<'_, Inner<T>> {
-    shared.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+fn lock<T>(shared: &Shared<T>) -> MutexGuard<'_, Inner<T>> {
+    shared.inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl<T> Shared<T> {
+    /// Queue `msg` (the caller checked there is room) and wake one parked
+    /// receiver, if any is parked.
+    fn push(&self, mut inner: MutexGuard<'_, Inner<T>>, msg: T) {
+        inner.queue.push_back(msg);
+        let wake = inner.recv_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_empty.notify_one();
+        }
+    }
+
+    /// Take the oldest message, if any, and wake one parked sender, if any
+    /// is parked. Hands the guard back when the queue is empty.
+    fn pop<'a>(&self, mut inner: MutexGuard<'a, Inner<T>>) -> Result<T, MutexGuard<'a, Inner<T>>> {
+        let Some(msg) = inner.queue.pop_front() else { return Err(inner) };
+        let wake = inner.send_waiting > 0;
+        drop(inner);
+        if wake {
+            self.not_full.notify_one();
+        }
+        Ok(msg)
+    }
 }
 
 /// Channel with unlimited buffering.
@@ -99,7 +138,14 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 
 fn with_cap<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
-        inner: Mutex::new(Inner { queue: VecDeque::new(), cap, senders: 1, receivers: 1 }),
+        inner: Mutex::new(Inner {
+            queue: VecDeque::new(),
+            cap,
+            senders: 1,
+            receivers: 1,
+            recv_waiting: 0,
+            send_waiting: 0,
+        }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
     });
@@ -152,28 +198,25 @@ impl<T> Sender<T> {
             }
             let full = inner.cap.is_some_and(|c| inner.queue.len() >= c);
             if !full {
-                inner.queue.push_back(msg);
-                drop(inner);
-                self.shared.not_empty.notify_one();
+                self.shared.push(inner, msg);
                 return Ok(());
             }
-            inner =
-                self.shared.not_full.wait(inner).unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner.send_waiting += 1;
+            inner = self.shared.not_full.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.send_waiting -= 1;
         }
     }
 
     /// Send without blocking.
     pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        let mut inner = lock(&self.shared);
+        let inner = lock(&self.shared);
         if inner.receivers == 0 {
             return Err(TrySendError::Disconnected(msg));
         }
         if inner.cap.is_some_and(|c| inner.queue.len() >= c) {
             return Err(TrySendError::Full(msg));
         }
-        inner.queue.push_back(msg);
-        drop(inner);
-        self.shared.not_empty.notify_one();
+        self.shared.push(inner, msg);
         Ok(())
     }
 }
@@ -183,34 +226,26 @@ impl<T> Receiver<T> {
     pub fn recv(&self) -> Result<T, RecvError> {
         let mut inner = lock(&self.shared);
         loop {
-            if let Some(msg) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
+            inner = match self.shared.pop(inner) {
+                Ok(msg) => return Ok(msg),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 return Err(RecvError);
             }
-            inner = self
-                .shared
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            inner.recv_waiting += 1;
+            inner = self.shared.not_empty.wait(inner).unwrap_or_else(PoisonError::into_inner);
+            inner.recv_waiting -= 1;
         }
     }
 
     /// Receive without blocking.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut inner = lock(&self.shared);
-        if let Some(msg) = inner.queue.pop_front() {
-            drop(inner);
-            self.shared.not_full.notify_one();
-            return Ok(msg);
+        match self.shared.pop(lock(&self.shared)) {
+            Ok(msg) => Ok(msg),
+            Err(inner) if inner.senders == 0 => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
-        if inner.senders == 0 {
-            return Err(TryRecvError::Disconnected);
-        }
-        Err(TryRecvError::Empty)
     }
 
     /// Receive, blocking for at most `timeout`.
@@ -218,11 +253,10 @@ impl<T> Receiver<T> {
         let deadline = Instant::now() + timeout;
         let mut inner = lock(&self.shared);
         loop {
-            if let Some(msg) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
+            inner = match self.shared.pop(inner) {
+                Ok(msg) => return Ok(msg),
+                Err(inner) => inner,
+            };
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -230,12 +264,14 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(RecvTimeoutError::Timeout);
             }
+            inner.recv_waiting += 1;
             let (guard, _) = self
                 .shared
                 .not_empty
                 .wait_timeout(inner, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
             inner = guard;
+            inner.recv_waiting -= 1;
         }
     }
 }
@@ -303,5 +339,76 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    /// Spin until `parked(inner)` holds: the counts are raised under the
+    /// mutex that `wait` releases, so once one reads non-zero the peer is
+    /// parked, or will be before anyone else can take the mutex.
+    fn until_parked<T>(shared: &Shared<T>, parked: impl Fn(&Inner<T>) -> bool) {
+        while !parked(&lock(shared)) {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn try_send_wakes_a_receiver_parked_in_recv_timeout() {
+        let (tx, rx) = bounded(1);
+        let receiver = thread::spawn(move || {
+            let started = Instant::now();
+            (rx.recv_timeout(Duration::from_secs(60)), started.elapsed())
+        });
+        until_parked(&tx.shared, |inner| inner.recv_waiting == 1);
+        tx.try_send(7).unwrap();
+        let (got, waited) = receiver.join().unwrap();
+        assert_eq!(got, Ok(7));
+        assert!(waited < Duration::from_secs(30), "woken by the send, not the timeout: {waited:?}");
+        assert_eq!(lock(&tx.shared).recv_waiting, 0);
+    }
+
+    #[test]
+    fn try_recv_wakes_a_sender_parked_on_a_full_channel() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let sender = {
+            let tx = tx.clone();
+            thread::spawn(move || tx.send(2))
+        };
+        until_parked(&tx.shared, |inner| inner.send_waiting == 1);
+        assert_eq!(rx.try_recv(), Ok(1));
+        // Joining is the assertion: a sender nobody woke never returns.
+        assert_eq!(sender.join().unwrap(), Ok(()));
+        assert_eq!(rx.try_recv(), Ok(2));
+        assert_eq!(lock(&tx.shared).send_waiting, 0);
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_through_a_small_bounded_channel() {
+        // Both sides park constantly at capacity 8; a single skipped signal
+        // would leave the run hanging with everyone asleep.
+        const PRODUCERS: u64 = 4;
+        const EACH: u64 = 100_000;
+        let (tx, rx) = bounded(8);
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let tx = tx.clone();
+                thread::spawn(move || {
+                    for i in 0..EACH {
+                        tx.send(p * EACH + i).unwrap();
+                    }
+                })
+            })
+            .collect();
+        drop(tx);
+        let (mut count, mut sum) = (0u64, 0u64);
+        while let Ok(v) = rx.recv() {
+            count += 1;
+            sum += v;
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
+        let n = PRODUCERS * EACH;
+        assert_eq!(count, n);
+        assert_eq!(sum, n * (n - 1) / 2);
     }
 }

@@ -101,6 +101,7 @@ impl Cluster {
                 tick: live.tick,
                 start,
                 rx,
+                mailbox_capacity: live.mailbox_capacity,
                 router: router.clone(),
                 events: events_tx.clone(),
                 shared: Arc::clone(&shared),

@@ -36,7 +36,7 @@ use rgb_core::prelude::{GroupId, NodeId};
 use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate, TimerSet};
 use rgb_core::wire;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -214,8 +214,9 @@ const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
 /// Longest the worker loop blocks on its mailbox even with no timer due —
 /// a liveness bound, not a correctness one.
 const MAX_PARK: Duration = Duration::from_millis(50);
-/// Messages drained per mailbox batch before re-checking timers, so a
-/// flooded mailbox cannot starve timer fairness.
+/// Frames drained per turn from the worker's run queue, and then messages
+/// from its mailbox, before re-checking timers, so neither a flooded
+/// mailbox nor a ring whose token never rests can starve timer fairness.
 const DRAIN_BATCH: usize = 256;
 /// Sentinel for "no latency interval open" in [`MuxNode`]'s anchors.
 const NO_ANCHOR: u64 = u64::MAX;
@@ -375,9 +376,15 @@ struct ReactorSubstrate<'a> {
     reattach_started: &'a mut u64,
     query_started: &'a mut u64,
     frames: &'a mut FramePool,
+    /// The sending worker's hosted nodes and its run queue: a frame for one
+    /// of them is queued here instead of in the worker's own mailbox.
+    index: &'a HashMap<NodeId, usize>,
+    local: &'a mut VecDeque<LocalFrame>,
+    mailbox_capacity: usize,
     /// The hosted node's ring level (latency surface index).
     level: u8,
-    local: u32,
+    /// The hosted node's local index (what its wheel entries carry).
+    slot: u32,
     now: u64,
 }
 
@@ -387,7 +394,18 @@ impl Substrate for ReactorSubstrate<'_> {
     }
 
     fn send_frame(&mut self, from: NodeId, to: NodeId, _label: MsgLabel, frame: bytes::Bytes) {
-        match self.router.send_frame(from, to, frame) {
+        let outcome = match self.index.get(&to) {
+            Some(&i) => {
+                let admitted =
+                    self.router.admit_local(from, to, self.local.len(), self.mailbox_capacity);
+                if admitted == SendOutcome::Delivered {
+                    self.local.push_back((from, i as u32, frame));
+                }
+                admitted
+            }
+            None => self.router.send_frame(from, to, frame),
+        };
+        match outcome {
             SendOutcome::Delivered | SendOutcome::PartitionDropped => {}
             SendOutcome::Unroutable | SendOutcome::Backpressure => *self.dropped_frames += 1,
         }
@@ -397,7 +415,7 @@ impl Substrate for ReactorSubstrate<'_> {
         *self.next_gen += 1;
         let gen = *self.next_gen;
         self.timers.arm(kind, gen);
-        self.wheel.arm(self.now.saturating_add(after), self.local, kind, gen);
+        self.wheel.arm(self.now.saturating_add(after), self.slot, kind, gen);
     }
 
     fn cancel_timer(&mut self, _node: NodeId, kind: TimerKind) {
@@ -448,7 +466,12 @@ impl Substrate for ReactorSubstrate<'_> {
     }
 }
 
-/// One reactor worker: the nodes it hosts, its mailbox and its wheel.
+/// A frame on a worker's run queue: sender, the destination's local index,
+/// the encoded [`rgb_core::message::Envelope`].
+type LocalFrame = (NodeId, u32, bytes::Bytes);
+
+/// One reactor worker: the nodes it hosts, its mailbox, its run queue and
+/// its wheel.
 pub(crate) struct Worker {
     gid: GroupId,
     tick: Duration,
@@ -460,7 +483,13 @@ pub(crate) struct Worker {
     /// Hosted nodes; `None` marks a crashed one (its wheel entries drain
     /// as stale).
     nodes: Vec<Option<MuxNode>>,
+    /// Live hosted nodes by id; a crashed node leaves it, so frames for it
+    /// fall through to the [`Router`] and read `Unroutable`.
     index: HashMap<NodeId, usize>,
+    /// Frames between two nodes of this worker, waiting for their turn:
+    /// bounded by `mailbox_capacity` like the mailbox they bypass.
+    local: VecDeque<LocalFrame>,
+    mailbox_capacity: usize,
     wheel: TimerWheel,
     outs: OutputSink,
     /// Buffers of the frames this worker decoded, reused by its sends.
@@ -473,6 +502,7 @@ pub(crate) struct WorkerSpec {
     pub tick: Duration,
     pub start: Instant,
     pub rx: Receiver<ToWorker>,
+    pub mailbox_capacity: usize,
     pub router: Router,
     pub events: Sender<(NodeId, AppEvent)>,
     pub shared: Arc<ReactorShared>,
@@ -508,6 +538,8 @@ impl Worker {
             shared: spec.shared,
             nodes,
             index,
+            local: VecDeque::new(),
+            mailbox_capacity: spec.mailbox_capacity,
             wheel: TimerWheel::new(),
             outs: OutputSink::new(),
             frames: FramePool::default(),
@@ -531,8 +563,22 @@ impl Worker {
     /// destructuring split lets the node's state, the wheel and the reused
     /// output sink borrow simultaneously.
     fn drive(&mut self, i: usize, input: Input) {
-        let Worker { gid, tick, start, router, events, shared, nodes, wheel, outs, frames, .. } =
-            self;
+        let Worker {
+            gid,
+            tick,
+            start,
+            router,
+            events,
+            shared,
+            nodes,
+            index,
+            local,
+            mailbox_capacity,
+            wheel,
+            outs,
+            frames,
+            ..
+        } = self;
         let Some(node) = nodes[i].as_mut() else { return };
         let id = node.state.id;
         let tick_ns = tick.as_nanos().max(1);
@@ -551,8 +597,11 @@ impl Worker {
             reattach_started: &mut node.reattach_started,
             query_started: &mut node.query_started,
             frames,
+            index,
+            local,
+            mailbox_capacity: *mailbox_capacity,
             level,
-            local: i as u32,
+            slot: i as u32,
             now,
         };
         apply_outputs(&mut sub, *gid, id, outs);
@@ -572,31 +621,36 @@ impl Worker {
         }
     }
 
+    /// Decode one frame for hosted node `i` and feed it in — the one way a
+    /// frame reaches a node, whether it came off the mailbox or the run
+    /// queue — then keep its buffer.
+    fn deliver(&mut self, from: NodeId, i: usize, frame: bytes::Bytes) {
+        match wire::decode(&frame) {
+            Ok(env) if env.gid == self.gid => {
+                // The ring reached this node: any open retransmit/loss
+                // suspicion resolved without a repair.
+                if matches!(env.msg, Msg::Token(_) | Msg::TokenAck { .. }) {
+                    if let Some(n) = self.nodes[i].as_mut() {
+                        n.ring_repair_started = NO_ANCHOR;
+                    }
+                }
+                self.drive(i, Input::Msg { from, msg: env.msg });
+            }
+            _ => {
+                // Foreign group or corrupt frame: drop, counted.
+                self.shared.codec_rejected.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.frames.recycle(frame);
+    }
+
     /// Apply one mailbox message; `true` means stop the worker.
     fn handle(&mut self, msg: ToWorker) -> bool {
         match msg {
-            ToWorker::Net { from, to, frame } => {
-                if let Some(&i) = self.index.get(&to) {
-                    match wire::decode(&frame) {
-                        Ok(env) if env.gid == self.gid => {
-                            // The ring reached this node: any open
-                            // retransmit/loss suspicion resolved without
-                            // a repair.
-                            if matches!(env.msg, Msg::Token(_) | Msg::TokenAck { .. }) {
-                                if let Some(n) = self.nodes[i].as_mut() {
-                                    n.ring_repair_started = NO_ANCHOR;
-                                }
-                            }
-                            self.drive(i, Input::Msg { from, msg: env.msg });
-                        }
-                        _ => {
-                            // Foreign group or corrupt frame: drop, counted.
-                            self.shared.codec_rejected.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                self.frames.recycle(frame);
-            }
+            ToWorker::Net { from, to, frame } => match self.index.get(&to) {
+                Some(&i) => self.deliver(from, i, frame),
+                None => self.frames.recycle(frame),
+            },
             ToWorker::Mh { ap, event } => {
                 if let Some(&i) = self.index.get(&ap) {
                     self.drive(i, Input::Mh(event));
@@ -617,7 +671,7 @@ impl Worker {
                 }
             }
             ToWorker::Crash { node } => {
-                if let Some(&i) = self.index.get(&node) {
+                if let Some(i) = self.index.remove(&node) {
                     self.nodes[i] = None;
                 }
             }
@@ -627,7 +681,8 @@ impl Worker {
     }
 
     /// The reactor loop: boot every hosted node, then alternate timer
-    /// firing with bounded mailbox drains until `Stop`.
+    /// firing with bounded drains of the run queue and of the mailbox until
+    /// `Stop`. The worker parks on its mailbox only with an empty run queue.
     pub(crate) fn run(mut self) {
         for i in 0..self.nodes.len() {
             self.drive(i, Input::Boot);
@@ -659,28 +714,38 @@ impl Worker {
                     self.drive(i, Input::Timer(entry.kind));
                 }
             }
-            let timeout = match self.wheel.next_deadline() {
-                Some(at) => self.until_tick(at).min(MAX_PARK),
-                None => MAX_PARK,
+            // A delivery usually queues the next hop behind itself, so a
+            // token walks its ring inside this loop.
+            for _ in 0..DRAIN_BATCH {
+                let Some((from, i, frame)) = self.local.pop_front() else { break };
+                self.deliver(from, i as usize, frame);
+            }
+            let first = if self.local.is_empty() {
+                let timeout = match self.wheel.next_deadline() {
+                    Some(at) => self.until_tick(at).min(MAX_PARK),
+                    None => MAX_PARK,
+                };
+                match self.rx.recv_timeout(timeout) {
+                    Ok(msg) => Some(msg),
+                    Err(RecvTimeoutError::Timeout) => None, // loop fires due timers
+                    Err(RecvTimeoutError::Disconnected) => return,
+                }
+            } else {
+                self.rx.try_recv().ok()
             };
-            match self.rx.recv_timeout(timeout) {
-                Ok(msg) => {
-                    if self.handle(msg) {
-                        return;
-                    }
-                    for _ in 0..DRAIN_BATCH {
-                        match self.rx.try_recv() {
-                            Ok(msg) => {
-                                if self.handle(msg) {
-                                    return;
-                                }
-                            }
-                            Err(_) => break,
+            let Some(first) = first else { continue };
+            if self.handle(first) {
+                return;
+            }
+            for _ in 0..DRAIN_BATCH {
+                match self.rx.try_recv() {
+                    Ok(msg) => {
+                        if self.handle(msg) {
+                            return;
                         }
                     }
+                    Err(_) => break,
                 }
-                Err(RecvTimeoutError::Timeout) => {} // loop fires due timers
-                Err(RecvTimeoutError::Disconnected) => return,
             }
         }
     }

@@ -133,8 +133,7 @@ impl Router {
     /// stopped nodes are dropped and counted; frames to a full mailbox are
     /// dropped with the backpressure counter (never queued unboundedly).
     pub fn send_frame(&self, from: NodeId, to: NodeId, frame: Bytes) -> SendOutcome {
-        if self.is_partitioned(from, to) {
-            self.partition_drops.fetch_add(1, Ordering::Relaxed);
+        if self.partition_drops_frame(from, to) {
             return SendOutcome::PartitionDropped;
         }
         let guard = self.inner.read();
@@ -156,6 +155,39 @@ impl Router {
                 SendOutcome::Unroutable
             }
         }
+    }
+
+    /// Admission of a frame whose destination the *sending worker* hosts,
+    /// so it can skip the mailbox and sit on that worker's own run queue:
+    /// the same partition test, the same bound (`queued` frames against
+    /// `capacity`) and the same counters as [`Router::send_frame`].
+    /// `Delivered` means the caller must queue the frame.
+    pub(crate) fn admit_local(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        queued: usize,
+        capacity: usize,
+    ) -> SendOutcome {
+        if self.partition_drops_frame(from, to) {
+            return SendOutcome::PartitionDropped;
+        }
+        if queued >= capacity {
+            self.backpressure_drops.fetch_add(1, Ordering::Relaxed);
+            return SendOutcome::Backpressure;
+        }
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        SendOutcome::Delivered
+    }
+
+    /// The partition test every frame passes; a severed pair's frame is
+    /// counted here.
+    fn partition_drops_frame(&self, from: NodeId, to: NodeId) -> bool {
+        let severed = self.is_partitioned(from, to);
+        if severed {
+            self.partition_drops.fetch_add(1, Ordering::Relaxed);
+        }
+        severed
     }
 
     fn note_drop(&self) {

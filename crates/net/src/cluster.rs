@@ -3,7 +3,9 @@
 //!
 //! Nodes are assigned to workers ring-whole and DFS-contiguous
 //! ([`HierarchyLayout::partition_rings`]), so the token that circulates a
-//! ring usually stays inside one worker's mailbox. That cut is the one the
+//! ring never leaves its worker: it hops along that worker's own run queue
+//! and touches no mailbox ([`Cluster::worker_frame_counts`] shows the
+//! split; only frames across the cut are routed). That cut is the one the
 //! sharded simulator runs on, with the same bound: every worker hosts its
 //! even share of the NEs to within one ring
 //! ([`Cluster::worker_node_counts`]). The operator API talks
@@ -13,7 +15,9 @@
 //! [`crate::transport`].
 
 use crate::error::NetError;
-use crate::reactor::{ClusterStats, LiveConfig, NodeSnapshot, ReactorShared, Worker, WorkerSpec};
+use crate::reactor::{
+    ClusterStats, LiveConfig, NodeSnapshot, ReactorShared, Worker, WorkerFrames, WorkerSpec,
+};
 use crate::transport::{Router, ToWorker};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use rgb_core::config::ProtocolConfig;
@@ -53,7 +57,6 @@ impl Cluster {
         live.validate()?;
         let router = Router::new();
         let (events_tx, events_rx) = bounded(live.event_capacity);
-        let shared = Arc::new(ReactorShared::default());
         let workers = live.resolved_workers().min(layout.ring_count()).max(1);
         let start = Instant::now();
 
@@ -94,12 +97,19 @@ impl Cluster {
             specs.push((states, rx));
         }
 
+        let shared = Arc::new(ReactorShared {
+            frames: specs.iter().map(|_| WorkerFrames::default()).collect(),
+            ..ReactorShared::default()
+        });
+        let indexer = Arc::new(layout.indexer());
         let mut handles = Vec::new();
         for (i, (states, rx)) in specs.into_iter().enumerate() {
             let spec = WorkerSpec {
                 gid: layout.gid,
+                worker: i,
                 tick: live.tick,
                 start,
+                indexer: Arc::clone(&indexer),
                 rx,
                 mailbox_capacity: live.mailbox_capacity,
                 router: router.clone(),
@@ -152,6 +162,16 @@ impl Cluster {
     /// not change it): the split whose evenness is the pool's load balance.
     pub fn worker_node_counts(&self) -> Vec<usize> {
         self.worker_nodes.clone()
+    }
+
+    /// Frames each running worker has placed so far, in worker order, as
+    /// `(local, routed)`: onto its own run queue because it hosts the
+    /// destination too, or into a mailbox through the [`Router`]. Workers
+    /// publish once per loop turn; the two columns add up to
+    /// [`ClusterStats::frames_sent`].
+    pub fn worker_frame_counts(&self) -> Vec<(u64, u64)> {
+        let load = |n: &std::sync::atomic::AtomicU64| n.load(std::sync::atomic::Ordering::Relaxed);
+        self.shared.frames.iter().map(|w| (load(&w.local), load(&w.routed))).collect()
     }
 
     /// Deliver a mobile-host event to an access proxy.
@@ -227,8 +247,10 @@ impl Cluster {
 
     /// Cluster-wide transport and delivery counters.
     pub fn stats(&self) -> ClusterStats {
+        let by_workers: u64 =
+            self.worker_frame_counts().into_iter().map(|(local, routed)| local + routed).sum();
         ClusterStats {
-            frames_sent: self.router.sent(),
+            frames_sent: self.router.sent() + by_workers,
             dropped_frames: self.router.dropped(),
             backpressure_dropped: self.router.backpressure_dropped(),
             partition_dropped: self.router.partition_dropped(),

@@ -7,21 +7,32 @@
 //! intra-ring token traffic stays worker-local, and within one ring of an
 //! even share of the NEs, so no worker is the slow one by construction),
 //! one bounded mailbox of
-//! [`ToWorker`] messages, and one wall-tick `TimerWheel` — the same
+//! [`ToWorker`] messages, one equally bounded run queue of frames between
+//! its own nodes, and one wall-tick `TimerWheel` — the same
 //! bucketed wheel-plus-far-heap design as the simulator's event queue
-//! (`crates/sim/src/queue.rs`), minus the determinism machinery a
+//! (`crates/sim/src/queue.rs`, drained burst buckets give their buffers
+//! back there and here), minus the determinism machinery a
 //! wall-clock world cannot honour anyway. The worker loop is a classic
-//! reactor: fire due timers, then block on the mailbox until the next
-//! timer deadline (capped), then drain a bounded batch of messages.
+//! reactor: fire due timers, drain a bounded batch of the run queue, then
+//! block on the mailbox until the next timer deadline (capped, and only if
+//! the run queue is empty) and drain a bounded batch of messages.
 //!
 //! All protocol outputs flow through the shared
 //! [`rgb_core::substrate::apply_outputs`] driver against the
 //! `ReactorSubstrate`, exactly as in the simulator, and the hot loop
 //! reuses one [`OutputSink`] buffer so no `Vec<Output>` is allocated per
-//! input. Frames between nodes — same worker or not — always go through
-//! the [`Router`] and the binary wire codec, so the wire format stays
-//! exercised end-to-end; the worker that decodes a frame keeps its buffer
-//! in a bounded [`FramePool`] for its own next sends.
+//! input. Every frame between nodes passes the [`Router`]'s partition test
+//! and counters and the binary wire codec — encoded by the sender, decoded
+//! by the one `deliver` helper — so the wire format stays exercised
+//! end-to-end; only the mailbox is skipped when the sending worker hosts
+//! the destination too, which whole-ring placement makes the case for all
+//! but a fraction of a percent of frames. An event raised and consumed by
+//! the same dispatch loop then crosses no thread primitive (the
+//! non-threaded interpreter shape of arXiv 1510.03057): no lock, no
+//! `futex`, no shared counter — the worker tallies its frames and
+//! publishes them once per loop turn. A pair of nodes always takes the same
+//! path, so per-(from, to) FIFO holds. The worker that decodes a frame
+//! keeps its buffer in a bounded [`FramePool`] for its own next sends.
 
 use crate::error::NetError;
 use crate::transport::{Router, SendOutcome, ToWorker};
@@ -34,9 +45,10 @@ use rgb_core::node::NodeState;
 use rgb_core::obs::LevelHistograms;
 use rgb_core::prelude::{GroupId, NodeId};
 use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate, TimerSet};
+use rgb_core::topology::NodeIndexer;
 use rgb_core::wire;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -174,11 +186,13 @@ pub struct NodeSnapshot {
 /// atomics shared by every worker).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Frames delivered into a worker mailbox.
+    /// Frames placed for delivery: into a worker mailbox, or onto the
+    /// sending worker's own run queue when it hosts the destination too.
     pub frames_sent: u64,
     /// Frames dropped because the destination was unknown or stopped.
     pub dropped_frames: u64,
-    /// Frames dropped because a destination mailbox was full.
+    /// Frames dropped because the destination's mailbox (or run queue)
+    /// was full.
     pub backpressure_dropped: u64,
     /// Frames swallowed by active link partitions.
     pub partition_dropped: u64,
@@ -192,9 +206,21 @@ pub struct ClusterStats {
     pub codec_rejected: u64,
 }
 
+/// Frames one worker placed, flushed from its private tally once per loop
+/// turn (the worker is the only writer).
+#[derive(Debug, Default)]
+pub(crate) struct WorkerFrames {
+    /// Onto its own run queue (destination co-hosted).
+    pub local: AtomicU64,
+    /// Into a mailbox through the [`Router`].
+    pub routed: AtomicU64,
+}
+
 /// Counters shared between every worker and the cluster handle.
 #[derive(Debug, Default)]
 pub(crate) struct ReactorShared {
+    /// One slot per worker, in worker order.
+    pub frames: Vec<WorkerFrames>,
     pub app_events: AtomicU64,
     pub app_events_dropped: AtomicU64,
     pub codec_rejected: AtomicU64,
@@ -211,6 +237,17 @@ pub(crate) struct ReactorShared {
 const WHEEL_BITS: u32 = 10;
 /// Number of wheel buckets.
 const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
+/// Largest buffer (in entries, 8 KB) a drained wheel bucket keeps for its
+/// next tick; anything bigger is released on emptying — the reactor's copy
+/// of `rgb_sim::queue`'s `RELEASE_ENTRIES` rule (1,024 there, for ticks of
+/// up to a thousand events at 99,498 NEs per wheel). Here a worker hosts a
+/// few thousand NEs: an ordinary tick arms tens of timers, while the
+/// heartbeat burst — every node boots in the same tick and beats in step
+/// ever after — arms one per node, in a different bucket each period. At
+/// 256 the ordinary ticks keep their allocation and the bursts do not leave
+/// a 64 KB buffer behind in each bucket they visit (that was 15 → 88 MB of
+/// RSS across a 20 s `live_day` window). Sized in EXPERIMENTS.md E20.
+const RELEASE_ENTRIES: usize = 256;
 /// Longest the worker loop blocks on its mailbox even with no timer due —
 /// a liveness bound, not a correctness one.
 const MAX_PARK: Duration = Duration::from_millis(50);
@@ -220,6 +257,73 @@ const MAX_PARK: Duration = Duration::from_millis(50);
 const DRAIN_BATCH: usize = 256;
 /// Sentinel for "no latency interval open" in [`MuxNode`]'s anchors.
 const NO_ANCHOR: u64 = u64::MAX;
+
+/// Wall time in protocol ticks since a start instant, in `u64` nanoseconds
+/// (584 years of them): reading the tick is one clock read and one 64-bit
+/// division. Shared by the workers and [`crate::scenario::LiveEngine`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TickClock {
+    start: Instant,
+    /// One tick in nanoseconds, at least 1.
+    tick_ns: u64,
+}
+
+impl TickClock {
+    pub(crate) fn new(start: Instant, tick: Duration) -> Self {
+        TickClock { start, tick_ns: u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX).max(1) }
+    }
+
+    fn elapsed_ns(&self) -> u64 {
+        let elapsed = self.start.elapsed();
+        elapsed
+            .as_secs()
+            .saturating_mul(1_000_000_000)
+            .saturating_add(elapsed.subsec_nanos().into())
+    }
+
+    /// The current tick.
+    pub(crate) fn now(&self) -> u64 {
+        self.elapsed_ns() / self.tick_ns
+    }
+
+    /// Wall-clock duration until tick `at`, zero if already past.
+    fn until(&self, at: u64) -> Duration {
+        Duration::from_nanos(at.saturating_mul(self.tick_ns).saturating_sub(self.elapsed_ns()))
+    }
+}
+
+/// Which of a worker's slots hosts a node: the layout's dense
+/// [`NodeIndexer`] (shared by the pool) in front of a per-worker table, so
+/// a lookup is array loads and no hashing. A crashed node leaves the table.
+struct LocalIndex {
+    indexer: Arc<NodeIndexer>,
+    /// Layout index → local slot + 1; 0 = not hosted by this worker.
+    slots: Vec<u32>,
+}
+
+impl LocalIndex {
+    fn new(indexer: Arc<NodeIndexer>, hosted: &[NodeState]) -> Self {
+        let mut slots = vec![0u32; indexer.len()];
+        for (slot, state) in hosted.iter().enumerate() {
+            let idx = indexer.index_of(state.id).expect("hosted nodes come from the layout");
+            slots[idx.as_usize()] = slot as u32 + 1;
+        }
+        LocalIndex { indexer, slots }
+    }
+
+    #[inline]
+    fn get(&self, id: NodeId) -> Option<usize> {
+        let idx = self.indexer.index_of(id)?;
+        self.slots[idx.as_usize()].checked_sub(1).map(|slot| slot as usize)
+    }
+
+    /// Forget `id`, returning the slot it had.
+    fn remove(&mut self, id: NodeId) -> Option<usize> {
+        let slot = self.get(id)?;
+        self.slots[self.indexer.index_of(id)?.as_usize()] = 0;
+        Some(slot)
+    }
+}
 
 /// One armed timer: wall-tick deadline, hosting worker's local node index,
 /// kind and the generation stamp that detects superseded entries.
@@ -264,6 +368,12 @@ impl TimerWheel {
         self.len - self.far.len()
     }
 
+    /// Entry slots allocated across the buckets, used or not.
+    #[cfg(test)]
+    fn retained_entries(&self) -> usize {
+        self.buckets.iter().map(Vec::capacity).sum()
+    }
+
     /// Arm an entry. Deadlines already behind the drain cursor are clamped
     /// to it, so a timer armed for the tick currently being drained still
     /// fires (this drain or the next pass) instead of parking in a bucket
@@ -306,6 +416,11 @@ impl TimerWheel {
                 debug_assert_eq!(entry.at, self.cursor, "bucket holds a foreign tick");
                 self.len -= 1;
                 return Some(entry);
+            }
+            // Drained: give a burst's buffer back instead of parking it here
+            // for a whole rotation (see `RELEASE_ENTRIES`).
+            if self.buckets[bucket].capacity() > RELEASE_ENTRIES {
+                self.buckets[bucket] = Vec::new();
             }
             self.cursor += 1;
         }
@@ -378,9 +493,10 @@ struct ReactorSubstrate<'a> {
     frames: &'a mut FramePool,
     /// The sending worker's hosted nodes and its run queue: a frame for one
     /// of them is queued here instead of in the worker's own mailbox.
-    index: &'a HashMap<NodeId, usize>,
+    index: &'a LocalIndex,
     local: &'a mut VecDeque<LocalFrame>,
     mailbox_capacity: usize,
+    sent: &'a mut FrameTally,
     /// The hosted node's ring level (latency surface index).
     level: u8,
     /// The hosted node's local index (what its wheel entries carry).
@@ -394,16 +510,23 @@ impl Substrate for ReactorSubstrate<'_> {
     }
 
     fn send_frame(&mut self, from: NodeId, to: NodeId, _label: MsgLabel, frame: bytes::Bytes) {
-        let outcome = match self.index.get(&to) {
-            Some(&i) => {
+        let outcome = match self.index.get(to) {
+            Some(i) => {
                 let admitted =
                     self.router.admit_local(from, to, self.local.len(), self.mailbox_capacity);
                 if admitted == SendOutcome::Delivered {
                     self.local.push_back((from, i as u32, frame));
+                    self.sent.local += 1;
                 }
                 admitted
             }
-            None => self.router.send_frame(from, to, frame),
+            None => {
+                let routed = self.router.route(from, to, frame);
+                if routed == SendOutcome::Delivered {
+                    self.sent.routed += 1;
+                }
+                routed
+            }
         };
         match outcome {
             SendOutcome::Delivered | SendOutcome::PartitionDropped => {}
@@ -470,12 +593,20 @@ impl Substrate for ReactorSubstrate<'_> {
 /// the encoded [`rgb_core::message::Envelope`].
 type LocalFrame = (NodeId, u32, bytes::Bytes);
 
+/// Frames a worker placed since it last flushed into its [`WorkerFrames`].
+#[derive(Debug, Default)]
+struct FrameTally {
+    local: u64,
+    routed: u64,
+}
+
 /// One reactor worker: the nodes it hosts, its mailbox, its run queue and
 /// its wheel.
 pub(crate) struct Worker {
     gid: GroupId,
-    tick: Duration,
-    start: Instant,
+    /// This worker's position in the pool (its [`WorkerFrames`] slot).
+    worker: usize,
+    clock: TickClock,
     rx: Receiver<ToWorker>,
     router: Router,
     events: Sender<(NodeId, AppEvent)>,
@@ -485,11 +616,12 @@ pub(crate) struct Worker {
     nodes: Vec<Option<MuxNode>>,
     /// Live hosted nodes by id; a crashed node leaves it, so frames for it
     /// fall through to the [`Router`] and read `Unroutable`.
-    index: HashMap<NodeId, usize>,
+    index: LocalIndex,
     /// Frames between two nodes of this worker, waiting for their turn:
     /// bounded by `mailbox_capacity` like the mailbox they bypass.
     local: VecDeque<LocalFrame>,
     mailbox_capacity: usize,
+    sent: FrameTally,
     wheel: TimerWheel,
     outs: OutputSink,
     /// Buffers of the frames this worker decoded, reused by its sends.
@@ -499,8 +631,10 @@ pub(crate) struct Worker {
 /// Everything a worker thread needs at spawn time.
 pub(crate) struct WorkerSpec {
     pub gid: GroupId,
+    pub worker: usize,
     pub tick: Duration,
     pub start: Instant,
+    pub indexer: Arc<NodeIndexer>,
     pub rx: Receiver<ToWorker>,
     pub mailbox_capacity: usize,
     pub router: Router,
@@ -511,8 +645,7 @@ pub(crate) struct WorkerSpec {
 
 impl Worker {
     pub(crate) fn new(spec: WorkerSpec) -> Self {
-        let index =
-            spec.states.iter().enumerate().map(|(i, s)| (s.id, i)).collect::<HashMap<_, _>>();
+        let index = LocalIndex::new(spec.indexer, &spec.states);
         let nodes = spec
             .states
             .into_iter()
@@ -530,8 +663,8 @@ impl Worker {
             .collect();
         Worker {
             gid: spec.gid,
-            tick: spec.tick,
-            start: spec.start,
+            worker: spec.worker,
+            clock: TickClock::new(spec.start, spec.tick),
             rx: spec.rx,
             router: spec.router,
             events: spec.events,
@@ -540,23 +673,25 @@ impl Worker {
             index,
             local: VecDeque::new(),
             mailbox_capacity: spec.mailbox_capacity,
+            sent: FrameTally::default(),
             wheel: TimerWheel::new(),
             outs: OutputSink::new(),
             frames: FramePool::default(),
         }
     }
 
-    fn now_tick(&self) -> u64 {
-        let tick_ns = self.tick.as_nanos().max(1);
-        (self.start.elapsed().as_nanos() / tick_ns) as u64
-    }
-
-    /// Wall-clock duration until tick `at`, zero if already past.
-    fn until_tick(&self, at: u64) -> Duration {
-        let tick_ns = self.tick.as_nanos().max(1);
-        let deadline_ns = (at as u128).saturating_mul(tick_ns);
-        let remaining = deadline_ns.saturating_sub(self.start.elapsed().as_nanos());
-        Duration::from_nanos(u64::try_from(remaining).unwrap_or(u64::MAX))
+    /// Publish the frames placed since the last flush. Called once per
+    /// loop turn, before the worker may park, so `Cluster::stats` lags a
+    /// running worker by at most one turn and a parked one not at all.
+    fn flush_sent(&mut self) {
+        let FrameTally { local, routed } = std::mem::take(&mut self.sent);
+        let slot = &self.shared.frames[self.worker];
+        if local > 0 {
+            slot.local.fetch_add(local, Ordering::Relaxed);
+        }
+        if routed > 0 {
+            slot.routed.fetch_add(routed, Ordering::Relaxed);
+        }
     }
 
     /// Feed `input` to hosted node `i` and interpret the outputs. The
@@ -565,8 +700,7 @@ impl Worker {
     fn drive(&mut self, i: usize, input: Input) {
         let Worker {
             gid,
-            tick,
-            start,
+            clock,
             router,
             events,
             shared,
@@ -574,6 +708,7 @@ impl Worker {
             index,
             local,
             mailbox_capacity,
+            sent,
             wheel,
             outs,
             frames,
@@ -581,8 +716,7 @@ impl Worker {
         } = self;
         let Some(node) = nodes[i].as_mut() else { return };
         let id = node.state.id;
-        let tick_ns = tick.as_nanos().max(1);
-        let now = (start.elapsed().as_nanos() / tick_ns) as u64;
+        let now = clock.now();
         node.state.handle_into(input, outs);
         let level = node.state.level as u8;
         let mut sub = ReactorSubstrate {
@@ -600,6 +734,7 @@ impl Worker {
             index,
             local,
             mailbox_capacity: *mailbox_capacity,
+            sent,
             level,
             slot: i as u32,
             now,
@@ -647,18 +782,18 @@ impl Worker {
     /// Apply one mailbox message; `true` means stop the worker.
     fn handle(&mut self, msg: ToWorker) -> bool {
         match msg {
-            ToWorker::Net { from, to, frame } => match self.index.get(&to) {
-                Some(&i) => self.deliver(from, i, frame),
+            ToWorker::Net { from, to, frame } => match self.index.get(to) {
+                Some(i) => self.deliver(from, i, frame),
                 None => self.frames.recycle(frame),
             },
             ToWorker::Mh { ap, event } => {
-                if let Some(&i) = self.index.get(&ap) {
+                if let Some(i) = self.index.get(ap) {
                     self.drive(i, Input::Mh(event));
                 }
             }
             ToWorker::Query { node, scope } => {
-                if let Some(&i) = self.index.get(&node) {
-                    let now = self.now_tick();
+                if let Some(i) = self.index.get(node) {
+                    let now = self.clock.now();
                     if let Some(n) = self.nodes[i].as_mut() {
                         n.query_started = now;
                     }
@@ -666,12 +801,12 @@ impl Worker {
                 }
             }
             ToWorker::Snapshot { node, reply } => {
-                if let Some(mux) = self.index.get(&node).and_then(|&i| self.nodes[i].as_ref()) {
+                if let Some(mux) = self.index.get(node).and_then(|i| self.nodes[i].as_ref()) {
                     let _ = reply.try_send(Self::snapshot_of(mux));
                 }
             }
             ToWorker::Crash { node } => {
-                if let Some(i) = self.index.remove(&node) {
+                if let Some(i) = self.index.remove(node) {
                     self.nodes[i] = None;
                 }
             }
@@ -680,74 +815,97 @@ impl Worker {
         false
     }
 
+    /// Fire every timer due by now; entries armed for the current tick
+    /// while it drains are picked up by the same pass.
+    fn fire_due_timers(&mut self) {
+        let now = self.clock.now();
+        while let Some(entry) = self.wheel.pop_due(now) {
+            let i = entry.node as usize;
+            let Some(n) = self.nodes[i].as_mut() else { continue };
+            if !n.timers.fire(entry.gen) {
+                continue;
+            }
+            // A repair suspicion opens the latency interval the eventual
+            // RingRepaired / Reattached closes; the first trigger wins, and
+            // token progress clears a ring suspicion that resolved without
+            // repair.
+            match entry.kind {
+                TimerKind::TokenLost | TimerKind::TokenRetransmit { .. }
+                    if n.ring_repair_started == NO_ANCHOR =>
+                {
+                    n.ring_repair_started = now;
+                }
+                TimerKind::ParentTimeout if n.reattach_started == NO_ANCHOR => {
+                    n.reattach_started = now;
+                }
+                _ => {}
+            }
+            self.drive(i, Input::Timer(entry.kind));
+        }
+    }
+
+    /// Deliver up to [`DRAIN_BATCH`] frames off the run queue. A delivery
+    /// usually queues the next hop behind itself, so a token walks its ring
+    /// inside this loop.
+    fn drain_local(&mut self) {
+        for _ in 0..DRAIN_BATCH {
+            let Some((from, i, frame)) = self.local.pop_front() else { break };
+            self.deliver(from, i as usize, frame);
+        }
+    }
+
+    /// Handle up to [`DRAIN_BATCH`] + 1 mailbox messages, parking for the
+    /// first one (until the next timer deadline, capped) only when the run
+    /// queue is empty; `true` means stop the worker.
+    fn drain_mailbox(&mut self) -> bool {
+        let first = if self.local.is_empty() {
+            let timeout = match self.wheel.next_deadline() {
+                Some(at) => self.clock.until(at).min(MAX_PARK),
+                None => MAX_PARK,
+            };
+            match self.rx.recv_timeout(timeout) {
+                Ok(msg) => msg,
+                Err(RecvTimeoutError::Timeout) => return false, // timers are due
+                Err(RecvTimeoutError::Disconnected) => return true,
+            }
+        } else {
+            match self.rx.try_recv() {
+                Ok(msg) => msg,
+                Err(_) => return false,
+            }
+        };
+        if self.handle(first) {
+            return true;
+        }
+        for _ in 0..DRAIN_BATCH {
+            match self.rx.try_recv() {
+                Ok(msg) => {
+                    if self.handle(msg) {
+                        return true;
+                    }
+                }
+                Err(_) => break,
+            }
+        }
+        false
+    }
+
     /// The reactor loop: boot every hosted node, then alternate timer
     /// firing with bounded drains of the run queue and of the mailbox until
-    /// `Stop`. The worker parks on its mailbox only with an empty run queue.
+    /// `Stop`.
     pub(crate) fn run(mut self) {
         for i in 0..self.nodes.len() {
             self.drive(i, Input::Boot);
         }
         loop {
-            let now = self.now_tick();
-            while let Some(entry) = self.wheel.pop_due(now) {
-                let i = entry.node as usize;
-                let live = self.nodes[i].as_mut().is_some_and(|n| n.timers.fire(entry.gen));
-                if live {
-                    if let Some(n) = self.nodes[i].as_mut() {
-                        // A repair suspicion opens the latency interval
-                        // the eventual RingRepaired / Reattached closes;
-                        // the first trigger wins, and token progress
-                        // clears a ring suspicion that resolved without
-                        // repair.
-                        match entry.kind {
-                            TimerKind::TokenLost | TimerKind::TokenRetransmit { .. }
-                                if n.ring_repair_started == NO_ANCHOR =>
-                            {
-                                n.ring_repair_started = now;
-                            }
-                            TimerKind::ParentTimeout if n.reattach_started == NO_ANCHOR => {
-                                n.reattach_started = now;
-                            }
-                            _ => {}
-                        }
-                    }
-                    self.drive(i, Input::Timer(entry.kind));
-                }
-            }
-            // A delivery usually queues the next hop behind itself, so a
-            // token walks its ring inside this loop.
-            for _ in 0..DRAIN_BATCH {
-                let Some((from, i, frame)) = self.local.pop_front() else { break };
-                self.deliver(from, i as usize, frame);
-            }
-            let first = if self.local.is_empty() {
-                let timeout = match self.wheel.next_deadline() {
-                    Some(at) => self.until_tick(at).min(MAX_PARK),
-                    None => MAX_PARK,
-                };
-                match self.rx.recv_timeout(timeout) {
-                    Ok(msg) => Some(msg),
-                    Err(RecvTimeoutError::Timeout) => None, // loop fires due timers
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            } else {
-                self.rx.try_recv().ok()
-            };
-            let Some(first) = first else { continue };
-            if self.handle(first) {
-                return;
-            }
-            for _ in 0..DRAIN_BATCH {
-                match self.rx.try_recv() {
-                    Ok(msg) => {
-                        if self.handle(msg) {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
-                }
+            self.fire_due_timers();
+            self.drain_local();
+            self.flush_sent();
+            if self.drain_mailbox() {
+                break;
             }
         }
+        self.flush_sent();
     }
 }
 
@@ -832,5 +990,179 @@ mod tests {
         let e = wheel.pop_due(100).expect("clamped entry fires");
         assert_eq!(e.gen, 2);
         assert!(e.at >= 100 || e.at == 100, "deadline clamped to cursor");
+    }
+
+    #[test]
+    fn drained_burst_buckets_give_their_memory_back() {
+        // A worker's shape: every node boots in the same tick, so all of
+        // them beat in the same tick every 50 — a 1,200-entry bucket that
+        // lands in a different wheel slot each time (50·k mod 1024, 512 of
+        // them) — over a steady 100 entries a tick. Without the release
+        // each visited slot keeps its 2,048-entry buffer for good: the
+        // bound below breaks at the tenth burst, tick 500.
+        const BURST: u32 = 1_200;
+        const PERIOD: u64 = 50;
+        const BACKGROUND_PER_TICK: u32 = 100;
+        const BACKGROUND_PERIOD: u64 = 1_000;
+        let mut wheel = TimerWheel::new();
+        for node in 0..BURST {
+            wheel.arm(PERIOD, node, TimerKind::Heartbeat, 0);
+        }
+        for at in 1..=BACKGROUND_PERIOD {
+            for _ in 0..BACKGROUND_PER_TICK {
+                wheel.arm(at, BURST, TimerKind::TokenKick, 0);
+            }
+        }
+        let queued = wheel.len;
+        for now in 1..=3 * WHEEL_SLOTS + PERIOD {
+            // Drained like the worker does: each expiry re-arms.
+            while let Some(e) = wheel.pop_due(now) {
+                let period = if e.node < BURST { PERIOD } else { BACKGROUND_PERIOD };
+                wheel.arm(now + period, e.node, e.kind, e.gen + 1);
+            }
+            assert_eq!(wheel.len, queued);
+            let retained = wheel.retained_entries();
+            assert!(
+                2 * retained <= 3 * queued,
+                "tick {now}: {retained} entry slots retained for {queued} queued"
+            );
+        }
+    }
+
+    #[test]
+    fn a_timer_armed_while_its_own_tick_drains_still_fires() {
+        // More than RELEASE_ENTRIES, so the drained bucket is replaced.
+        let burst = 2 * RELEASE_ENTRIES as u32;
+        let mut wheel = TimerWheel::new();
+        for node in 0..burst {
+            wheel.arm(5, node, TimerKind::Heartbeat, 1);
+        }
+        wheel.arm(9, 0, TimerKind::TokenKick, 9); // keeps the wheel scanning
+        let mut fired = 0;
+        while let Some(e) = wheel.pop_due(5) {
+            fired += 1;
+            if e.gen == 1 && e.node == 0 {
+                // Armed for the tick being drained, by its last entry.
+                wheel.arm(5, burst, TimerKind::TokenKick, 2);
+            }
+        }
+        assert_eq!(fired, burst + 1, "the late entry fired in the same pass");
+        // After the pass the cursor has moved on: the same deadline clamps
+        // to the next tick instead of hiding in the released bucket.
+        wheel.arm(5, burst, TimerKind::TokenKick, 3);
+        assert!(wheel.pop_due(5).is_none());
+        assert_eq!(wheel.pop_due(6).map(|e| e.gen), Some(3));
+        assert_eq!(wheel.pop_due(9).map(|e| e.gen), Some(9));
+        assert_eq!(wheel.len, 0);
+    }
+
+    #[test]
+    fn tick_clock_counts_whole_ticks_in_u64() {
+        let start = Instant::now() - Duration::from_millis(250);
+        let clock = TickClock::new(start, Duration::from_millis(10));
+        let now = clock.now();
+        assert!((25..1_000).contains(&now), "250 ms is 25 ten-ms ticks, read {now}");
+        assert_eq!(clock.until(now), Duration::ZERO);
+        let ahead = clock.until(now + 100);
+        assert!(ahead > Duration::from_millis(980) && ahead <= Duration::from_secs(1));
+        // Degenerate inputs saturate instead of dividing by zero or wrapping.
+        assert!(TickClock::new(start, Duration::ZERO).now() >= 250_000_000);
+        assert_eq!(TickClock::new(start, Duration::MAX).now(), 0);
+        assert!(clock.until(u64::MAX) > Duration::from_secs(1 << 30));
+    }
+
+    /// One worker hosting a whole h=2 r=8 hierarchy (72 NEs) behind
+    /// capacity-`capacity` queues, driven by hand on the test thread.
+    fn lone_worker(capacity: usize) -> (Worker, Router, Arc<ReactorShared>) {
+        let layout =
+            rgb_core::topology::HierarchySpec::new(2, 8).build(GroupId(1)).expect("layout builds");
+        let mut cfg = rgb_core::config::ProtocolConfig::live();
+        cfg.token_interval = 5;
+        cfg.heartbeat_interval = 20;
+        let router = Router::new();
+        let (tx, rx) = crossbeam::channel::bounded(capacity);
+        let (events, _) = crossbeam::channel::bounded(1);
+        let states: Vec<NodeState> = layout
+            .nodes
+            .keys()
+            .map(|&id| NodeState::from_layout(&layout, id, cfg.clone()).expect("node builds"))
+            .collect();
+        for state in &states {
+            router.register(state.id, tx.clone());
+        }
+        let shared = Arc::new(ReactorShared {
+            frames: vec![WorkerFrames::default()],
+            ..ReactorShared::default()
+        });
+        let worker = Worker::new(WorkerSpec {
+            gid: layout.gid,
+            worker: 0,
+            // Microsecond ticks: the test spins through hundreds of them.
+            tick: Duration::from_micros(1),
+            start: Instant::now(),
+            indexer: Arc::new(layout.indexer()),
+            rx,
+            mailbox_capacity: capacity,
+            router: router.clone(),
+            events,
+            shared: Arc::clone(&shared),
+            states,
+        });
+        (worker, router, shared)
+    }
+
+    #[test]
+    fn run_queue_is_bounded_and_every_send_is_counted_once() {
+        const CAPACITY: usize = 4;
+        let (mut w, router, shared) = lone_worker(CAPACITY);
+        for i in 0..w.nodes.len() {
+            w.drive(i, Input::Boot);
+            assert!(w.local.len() <= CAPACITY);
+        }
+        // 72 heartbeat timers fire in one pass with nothing drained in
+        // between: a flood into four slots.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while router.backpressure_dropped() == 0 {
+            assert!(Instant::now() < deadline, "the timer burst never met a full run queue");
+            w.fire_due_timers();
+            assert!(w.local.len() <= CAPACITY, "{} frames queued", w.local.len());
+            while let Some((from, i, frame)) = w.local.pop_front() {
+                w.deliver(from, i as usize, frame);
+                assert!(w.local.len() <= CAPACITY, "{} frames queued", w.local.len());
+            }
+        }
+        // The senders saw their own drops, and nothing went by the mailbox.
+        let node_drops: u64 = w.nodes.iter().flatten().map(|n| n.dropped_frames).sum();
+        assert_eq!(node_drops, router.backpressure_dropped() + router.dropped());
+        assert!(w.rx.try_recv().is_err(), "a co-hosted destination skips the mailbox");
+        assert!(w.sent.local > 0);
+        assert_eq!(w.sent.routed, 0);
+        let placed = w.sent.local;
+        w.flush_sent();
+        assert_eq!((w.sent.local, w.sent.routed), (0, 0));
+        assert_eq!(shared.frames[0].local.load(Ordering::Relaxed), placed);
+        assert_eq!(router.sent(), 0, "workers count their own frames");
+    }
+
+    #[test]
+    fn both_paths_decode_and_reject_garbage_alike() {
+        let (mut w, _router, shared) = lone_worker(64);
+        let id = |w: &Worker, i: usize| w.nodes[i].as_ref().expect("alive").state.id;
+        let (a, b) = (id(&w, 0), id(&w, 1));
+        let junk = bytes::Bytes::copy_from_slice(b"not an envelope");
+        w.local.push_back((a, 1, junk.clone()));
+        w.drain_local();
+        assert_eq!(shared.codec_rejected.load(Ordering::Relaxed), 1);
+        assert!(!w.handle(ToWorker::Net { from: a, to: b, frame: junk }));
+        assert_eq!(shared.codec_rejected.load(Ordering::Relaxed), 2);
+        // A foreign group id is the same rejection, on the same helper.
+        let foreign = wire::encode(&rgb_core::message::Envelope {
+            gid: GroupId(w.gid.0 + 1),
+            msg: Msg::TokenAck { ring: rgb_core::prelude::RingId(0), seq: 0 },
+        });
+        w.local.push_back((a, 1, foreign));
+        w.drain_local();
+        assert_eq!(shared.codec_rejected.load(Ordering::Relaxed), 3);
+        assert!(w.local.is_empty());
     }
 }

@@ -28,7 +28,7 @@
 //! `SystemDigest::view_divergence`.
 
 use crate::cluster::Cluster;
-use crate::reactor::LiveConfig;
+use crate::reactor::{LiveConfig, TickClock};
 use rgb_core::prelude::*;
 use rgb_sim::backend::LiveRuntime;
 use rgb_sim::engine::{Engine, EngineCounters};
@@ -191,8 +191,7 @@ impl LiveEngine {
 
 impl Engine for LiveEngine {
     fn engine_now(&self) -> u64 {
-        let tick_ns = self.tick.as_nanos().max(1);
-        (self.start.elapsed().as_nanos() / tick_ns) as u64
+        TickClock::new(self.start, self.tick).now()
     }
 
     /// Advance wall-clock time to tick `deadline`, applying every timeline

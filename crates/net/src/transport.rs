@@ -12,6 +12,12 @@
 //! and it is what keeps one slow worker from growing another worker's
 //! memory: the data plane never parks a reactor thread on a peer's mailbox,
 //! so no worker-to-worker send cycle can deadlock.
+//!
+//! A worker that hosts a frame's destination itself keeps the frame on its
+//! own run queue instead of sending it to its own mailbox. Such a frame
+//! still passes this module — the partition test, the same capacity bound,
+//! the same drop counters (`Router::admit_local`) — and the wire codec at
+//! both ends; only the mailbox's lock and wake-up are skipped.
 
 use bytes::Bytes;
 use crossbeam::channel::{Sender, TrySendError};
@@ -19,7 +25,7 @@ use parking_lot::RwLock;
 use rgb_core::prelude::{Envelope, GroupId, MhEvent, Msg, NodeId, QueryScope};
 use rgb_core::wire;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Input messages a reactor worker can receive. Node-addressed variants
@@ -94,7 +100,13 @@ pub struct Router {
     /// this from the timeline; overlapping windows on one pair heal only
     /// when the last of them ends.
     severed: Arc<RwLock<HashMap<(NodeId, NodeId), u32>>>,
-    /// Frames delivered into a worker mailbox.
+    /// Number of pairs in `severed`, kept beside it so the per-frame
+    /// partition test of a cluster with no open window (the usual case) is
+    /// one load and no lock. Written under `severed`'s write lock.
+    severed_pairs: Arc<AtomicUsize>,
+    /// Frames delivered into a mailbox by [`Router::send_frame`]. Reactor
+    /// workers count their own sends and flush them once per loop turn
+    /// ([`crate::cluster::Cluster::worker_frame_counts`]).
     sent: Arc<AtomicU64>,
     /// Frames dropped because the destination was unknown or stopped.
     drops: Arc<AtomicU64>,
@@ -133,6 +145,16 @@ impl Router {
     /// stopped nodes are dropped and counted; frames to a full mailbox are
     /// dropped with the backpressure counter (never queued unboundedly).
     pub fn send_frame(&self, from: NodeId, to: NodeId, frame: Bytes) -> SendOutcome {
+        let outcome = self.route(from, to, frame);
+        if outcome == SendOutcome::Delivered {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+        }
+        outcome
+    }
+
+    /// [`Router::send_frame`] for a caller that counts its own `Delivered`
+    /// frames; every drop is counted here.
+    pub(crate) fn route(&self, from: NodeId, to: NodeId, frame: Bytes) -> SendOutcome {
         if self.partition_drops_frame(from, to) {
             return SendOutcome::PartitionDropped;
         }
@@ -142,10 +164,7 @@ impl Router {
             return SendOutcome::Unroutable;
         };
         match tx.try_send(ToWorker::Net { from, to, frame }) {
-            Ok(()) => {
-                self.sent.fetch_add(1, Ordering::Relaxed);
-                SendOutcome::Delivered
-            }
+            Ok(()) => SendOutcome::Delivered,
             Err(TrySendError::Full(_)) => {
                 self.backpressure_drops.fetch_add(1, Ordering::Relaxed);
                 SendOutcome::Backpressure
@@ -160,8 +179,8 @@ impl Router {
     /// Admission of a frame whose destination the *sending worker* hosts,
     /// so it can skip the mailbox and sit on that worker's own run queue:
     /// the same partition test, the same bound (`queued` frames against
-    /// `capacity`) and the same counters as [`Router::send_frame`].
-    /// `Delivered` means the caller must queue the frame.
+    /// `capacity`) and the same drop counters as [`Router::route`].
+    /// `Delivered` means the caller must queue the frame and count it.
     pub(crate) fn admit_local(
         &self,
         from: NodeId,
@@ -176,7 +195,6 @@ impl Router {
             self.backpressure_drops.fetch_add(1, Ordering::Relaxed);
             return SendOutcome::Backpressure;
         }
-        self.sent.fetch_add(1, Ordering::Relaxed);
         SendOutcome::Delivered
     }
 
@@ -202,7 +220,7 @@ impl Router {
         }
     }
 
-    /// Frames delivered into a worker mailbox so far.
+    /// Frames [`Router::send_frame`] delivered into a mailbox so far.
     pub fn sent(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
     }
@@ -231,13 +249,16 @@ impl Router {
                 guard.remove(&pair);
             }
         }
+        self.severed_pairs.store(guard.len(), Ordering::SeqCst);
     }
 
     /// Whether the (unordered) pair `a`–`b` is currently severed.
     pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
+        if self.severed_pairs.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
         let pair = if a <= b { (a, b) } else { (b, a) };
-        let guard = self.severed.read();
-        !guard.is_empty() && guard.contains_key(&pair)
+        self.severed.read().contains_key(&pair)
     }
 
     /// Frames swallowed by link partitions so far.
@@ -363,6 +384,7 @@ mod tests {
         let router = Router::new();
         router.set_partition(NodeId(1), NodeId(2), true);
         router.set_partition(NodeId(2), NodeId(1), true); // second window
+        assert_eq!(router.severed_pairs.load(Ordering::SeqCst), 1, "one pair, two windows");
         router.set_partition(NodeId(1), NodeId(2), false); // first heals
         assert!(
             router.is_partitioned(NodeId(1), NodeId(2)),
@@ -372,6 +394,7 @@ mod tests {
         assert!(!router.is_partitioned(NodeId(1), NodeId(2)));
         // A heal with no open window is a no-op, not an underflow.
         router.set_partition(NodeId(1), NodeId(2), false);
+        assert_eq!(router.severed_pairs.load(Ordering::SeqCst), 0);
         assert!(!router.is_partitioned(NodeId(1), NodeId(2)));
     }
 
@@ -385,5 +408,59 @@ mod tests {
         assert!(router.is_empty());
         router.send(GroupId(1), NodeId(1), NodeId(3), Msg::TokenAck { ring: RingId(0), seq: 1 });
         assert_eq!(router.dropped(), 1);
+    }
+
+    #[test]
+    fn every_send_lands_in_exactly_one_counter() {
+        use SendOutcome::{Backpressure, Delivered, PartitionDropped, Unroutable};
+        let router = Router::new();
+        let (tx, _rx) = bounded(2);
+        router.register(NodeId(2), tx.clone());
+        router.register(NodeId(3), tx);
+        router.set_partition(NodeId(3), NodeId(1), true);
+        let frame = || {
+            wire::encode(&Envelope {
+                gid: GroupId(1),
+                msg: Msg::TokenAck { ring: RingId(0), seq: 0 },
+            })
+        };
+        // `placed` is the tally a worker keeps of its own `Delivered` frames.
+        let (mut placed, mut calls) = (0u64, 0u64);
+        let mut check = |out: SendOutcome, want: SendOutcome, counted_here: bool| {
+            assert_eq!(out, want);
+            calls += 1;
+            placed += u64::from(out == Delivered && !counted_here);
+            let counted = placed
+                + router.sent()
+                + router.partition_dropped()
+                + router.dropped()
+                + router.backpressure_dropped();
+            assert_eq!(counted, calls, "after a {want:?}");
+        };
+        // The mailbox path, as a worker takes it.
+        for (to, want) in [
+            (2, Delivered),
+            (2, Delivered),
+            (2, Backpressure),
+            (9, Unroutable),
+            (3, PartitionDropped),
+        ] {
+            check(router.route(NodeId(1), NodeId(to), frame()), want, false);
+        }
+        // The run-queue path: same test, same bound, same counters.
+        for (to, queued, want) in [
+            (2, 0, Delivered),
+            (2, 3, Delivered),
+            (2, 4, Backpressure),
+            (3, 0, PartitionDropped),
+            (3, 4, PartitionDropped),
+        ] {
+            check(router.admit_local(NodeId(1), NodeId(to), queued, 4), want, false);
+        }
+        // The public entry point counts its own deliveries.
+        check(router.send_frame(NodeId(1), NodeId(9), frame()), Unroutable, true);
+        router.set_partition(NodeId(1), NodeId(3), false);
+        check(router.send_frame(NodeId(1), NodeId(3), frame()), Backpressure, true);
+        assert_eq!(router.sent(), 0);
     }
 }

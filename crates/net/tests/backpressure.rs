@@ -74,6 +74,53 @@ fn one_slot_mailboxes_backpressure_without_deadlock() {
     cluster.shutdown(); // must not hang
 }
 
+/// The same squeeze on the path a co-hosted destination takes: one worker
+/// hosts all 72 NEs, so every frame goes onto its own run queue, and the
+/// heartbeat burst (72 timers in one pass, nothing drained in between)
+/// floods its four slots. Overflow is a counted backpressure drop charged to
+/// the sending node, exactly as a full mailbox is; the queue depth itself is
+/// held by `reactor::tests::run_queue_is_bounded_and_every_send_is_counted_once`.
+#[test]
+fn worker_local_flood_backpressures_on_the_run_queue() {
+    let mut cfg = ProtocolConfig::live();
+    cfg.token_interval = 5;
+    cfg.token_retransmit_timeout = 20;
+    cfg.token_lost_timeout = 150;
+    cfg.heartbeat_interval = 20;
+    let layout = HierarchySpec::new(2, 8).build(GroupId(1)).unwrap();
+    let nodes: Vec<NodeId> = layout.nodes.keys().copied().collect();
+    let live = LiveConfig::default().with_workers(1).with_mailbox_capacity(4);
+    let cluster = Cluster::try_new(layout, &cfg, &live).expect("cluster starts");
+    assert_eq!(cluster.worker_count(), 1);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while cluster.stats().backpressure_dropped == 0 {
+        assert!(std::time::Instant::now() < deadline, "the run queue never overflowed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    // Still serving (operator sends park on the four-slot mailbox, workers
+    // never do), and the drops are the senders' own: the per-node counters
+    // add up to the cluster's, bracketed because the cluster keeps running.
+    let before = cluster.stats();
+    let by_nodes: u64 = nodes
+        .iter()
+        .map(|&n| cluster.snapshot(n, Duration::from_secs(5)).expect("snapshot").dropped_frames)
+        .sum();
+    let after = cluster.stats();
+    assert!(by_nodes > 0, "no sender saw its frame dropped");
+    assert!(before.backpressure_dropped + before.dropped_frames <= by_nodes);
+    assert!(by_nodes <= after.backpressure_dropped + after.dropped_frames);
+
+    // Nothing went by the Router's mailboxes, and what was placed is counted.
+    let counts = cluster.worker_frame_counts();
+    assert_eq!(counts.len(), 1);
+    assert!(counts[0].0 > 0, "local frames are counted");
+    assert_eq!(counts[0].1, 0, "one worker hosts every destination");
+    assert!(cluster.stats().frames_sent >= counts[0].0);
+    cluster.shutdown(); // must not hang
+}
+
 /// The operator-facing app-event channel is bounded too: when nobody drains
 /// it, events are dropped with a counter instead of growing without bound.
 #[test]

@@ -16,7 +16,8 @@
 
 use crate::error::NetError;
 use crate::reactor::{
-    ClusterStats, LiveConfig, NodeSnapshot, ReactorShared, Worker, WorkerFrames, WorkerSpec,
+    ClusterStats, LiveConfig, NodeSnapshot, ReactorShared, TickClock, Worker, WorkerFrames,
+    WorkerSpec,
 };
 use crate::transport::{Router, ToWorker};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -25,6 +26,7 @@ use rgb_core::events::AppEvent;
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
 use rgb_core::topology::HierarchyLayout;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -58,7 +60,7 @@ impl Cluster {
         let router = Router::new();
         let (events_tx, events_rx) = bounded(live.event_capacity);
         let workers = live.resolved_workers().min(layout.ring_count()).max(1);
-        let start = Instant::now();
+        let clock = TickClock::new(Instant::now(), live.tick);
 
         // Build every worker's node set up front: layout errors surface
         // before a single thread exists.
@@ -107,8 +109,7 @@ impl Cluster {
             let spec = WorkerSpec {
                 gid: layout.gid,
                 worker: i,
-                tick: live.tick,
-                start,
+                clock,
                 indexer: Arc::clone(&indexer),
                 rx,
                 mailbox_capacity: live.mailbox_capacity,
@@ -170,8 +171,9 @@ impl Cluster {
     /// publish once per loop turn; the two columns add up to
     /// [`ClusterStats::frames_sent`].
     pub fn worker_frame_counts(&self) -> Vec<(u64, u64)> {
-        let load = |n: &std::sync::atomic::AtomicU64| n.load(std::sync::atomic::Ordering::Relaxed);
-        self.shared.frames.iter().map(|w| (load(&w.local), load(&w.routed))).collect()
+        let counts =
+            |w: &WorkerFrames| (w.local.load(Ordering::Relaxed), w.routed.load(Ordering::Relaxed));
+        self.shared.frames.iter().map(counts).collect()
     }
 
     /// Deliver a mobile-host event to an access proxy.
@@ -247,19 +249,17 @@ impl Cluster {
 
     /// Cluster-wide transport and delivery counters.
     pub fn stats(&self) -> ClusterStats {
-        let by_workers: u64 =
-            self.worker_frame_counts().into_iter().map(|(local, routed)| local + routed).sum();
+        let by_workers: u64 = (self.shared.frames.iter())
+            .map(|w| w.local.load(Ordering::Relaxed) + w.routed.load(Ordering::Relaxed))
+            .sum();
         ClusterStats {
             frames_sent: self.router.sent() + by_workers,
             dropped_frames: self.router.dropped(),
             backpressure_dropped: self.router.backpressure_dropped(),
             partition_dropped: self.router.partition_dropped(),
-            app_events: self.shared.app_events.load(std::sync::atomic::Ordering::Relaxed),
-            app_events_dropped: self
-                .shared
-                .app_events_dropped
-                .load(std::sync::atomic::Ordering::Relaxed),
-            codec_rejected: self.shared.codec_rejected.load(std::sync::atomic::Ordering::Relaxed),
+            app_events: self.shared.app_events.load(Ordering::Relaxed),
+            app_events_dropped: self.shared.app_events_dropped.load(Ordering::Relaxed),
+            codec_rejected: self.shared.codec_rejected.load(Ordering::Relaxed),
         }
     }
 

@@ -206,8 +206,8 @@ pub struct ClusterStats {
     pub codec_rejected: u64,
 }
 
-/// Frames one worker placed, flushed from its private tally once per loop
-/// turn (the worker is the only writer).
+/// Frames one worker has placed, copied from its private tally once per
+/// loop turn (the worker is the only writer).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerFrames {
     /// Onto its own run queue (destination co-hosted).
@@ -239,14 +239,16 @@ const WHEEL_BITS: u32 = 10;
 const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
 /// Largest buffer (in entries, 8 KB) a drained wheel bucket keeps for its
 /// next tick; anything bigger is released on emptying — the reactor's copy
-/// of `rgb_sim::queue`'s `RELEASE_ENTRIES` rule (1,024 there, for ticks of
-/// up to a thousand events at 99,498 NEs per wheel). Here a worker hosts a
-/// few thousand NEs: an ordinary tick arms tens of timers, while the
-/// heartbeat burst — every node boots in the same tick and beats in step
-/// ever after — arms one per node, in a different bucket each period. At
-/// 256 the ordinary ticks keep their allocation and the bursts do not leave
-/// a 64 KB buffer behind in each bucket they visit (that was 15 → 88 MB of
-/// RSS across a 20 s `live_day` window). Sized in EXPERIMENTS.md E20.
+/// of `rgb_sim::queue`'s `RELEASE_ENTRIES` rule (1,024 there). A worker's
+/// ticks are lumpy: every node boots in the same tick and beats in step
+/// ever after, so one tick in fifty arms a timer per hosted node, and the
+/// ticks in which those heartbeats arrive re-arm a parent or child timeout
+/// per node — each time in different buckets, until every one of the 1,024
+/// has held a burst and keeps its buffer (15 → 88 MB of RSS across a 20 s
+/// `live_day` window, 1,190 NEs a worker). Measured on that workload
+/// (EXPERIMENTS.md E20): 1,024 still retains 71 MB, 256 retains 24 MB, 64
+/// retains 18 MB at the same CPU cost but regrows the ~100-entry ordinary
+/// tick every time; 256 keeps those and releases the rest.
 const RELEASE_ENTRIES: usize = 256;
 /// Longest the worker loop blocks on its mailbox even with no timer due —
 /// a liveness bound, not a correctness one.
@@ -319,9 +321,8 @@ impl LocalIndex {
 
     /// Forget `id`, returning the slot it had.
     fn remove(&mut self, id: NodeId) -> Option<usize> {
-        let slot = self.get(id)?;
-        self.slots[self.indexer.index_of(id)?.as_usize()] = 0;
-        Some(slot)
+        let entry = &mut self.slots[self.indexer.index_of(id)?.as_usize()];
+        std::mem::take(entry).checked_sub(1).map(|slot| slot as usize)
     }
 }
 
@@ -593,7 +594,8 @@ impl Substrate for ReactorSubstrate<'_> {
 /// the encoded [`rgb_core::message::Envelope`].
 type LocalFrame = (NodeId, u32, bytes::Bytes);
 
-/// Frames a worker placed since it last flushed into its [`WorkerFrames`].
+/// Frames a worker has placed so far: the private running totals behind
+/// its [`WorkerFrames`] slot.
 #[derive(Debug, Default)]
 struct FrameTally {
     local: u64,
@@ -632,8 +634,7 @@ pub(crate) struct Worker {
 pub(crate) struct WorkerSpec {
     pub gid: GroupId,
     pub worker: usize,
-    pub tick: Duration,
-    pub start: Instant,
+    pub clock: TickClock,
     pub indexer: Arc<NodeIndexer>,
     pub rx: Receiver<ToWorker>,
     pub mailbox_capacity: usize,
@@ -664,7 +665,7 @@ impl Worker {
         Worker {
             gid: spec.gid,
             worker: spec.worker,
-            clock: TickClock::new(spec.start, spec.tick),
+            clock: spec.clock,
             rx: spec.rx,
             router: spec.router,
             events: spec.events,
@@ -680,18 +681,13 @@ impl Worker {
         }
     }
 
-    /// Publish the frames placed since the last flush. Called once per
-    /// loop turn, before the worker may park, so `Cluster::stats` lags a
-    /// running worker by at most one turn and a parked one not at all.
-    fn flush_sent(&mut self) {
-        let FrameTally { local, routed } = std::mem::take(&mut self.sent);
+    /// Publish the tally. Called once per loop turn, before the worker may
+    /// park, so `Cluster::stats` lags a running worker by at most one turn
+    /// and a parked one not at all.
+    fn flush_sent(&self) {
         let slot = &self.shared.frames[self.worker];
-        if local > 0 {
-            slot.local.fetch_add(local, Ordering::Relaxed);
-        }
-        if routed > 0 {
-            slot.routed.fetch_add(routed, Ordering::Relaxed);
-        }
+        slot.local.store(self.sent.local, Ordering::Relaxed);
+        slot.routed.store(self.sent.routed, Ordering::Relaxed);
     }
 
     /// Feed `input` to hosted node `i` and interpret the outputs. The
@@ -1098,8 +1094,7 @@ mod tests {
             gid: layout.gid,
             worker: 0,
             // Microsecond ticks: the test spins through hundreds of them.
-            tick: Duration::from_micros(1),
-            start: Instant::now(),
+            clock: TickClock::new(Instant::now(), Duration::from_micros(1)),
             indexer: Arc::new(layout.indexer()),
             rx,
             mailbox_capacity: capacity,
@@ -1137,10 +1132,9 @@ mod tests {
         assert!(w.rx.try_recv().is_err(), "a co-hosted destination skips the mailbox");
         assert!(w.sent.local > 0);
         assert_eq!(w.sent.routed, 0);
-        let placed = w.sent.local;
+        assert_eq!(shared.frames[0].local.load(Ordering::Relaxed), 0, "nothing published yet");
         w.flush_sent();
-        assert_eq!((w.sent.local, w.sent.routed), (0, 0));
-        assert_eq!(shared.frames[0].local.load(Ordering::Relaxed), placed);
+        assert_eq!(shared.frames[0].local.load(Ordering::Relaxed), w.sent.local);
         assert_eq!(router.sent(), 0, "workers count their own frames");
     }
 

@@ -171,7 +171,7 @@ pub struct NodeSnapshot {
     /// RingOK flag.
     pub ring_ok: bool,
     /// Outbound frames **this node** failed to place: destination unknown
-    /// or stopped, or the destination worker's mailbox was full. Genuinely
+    /// or stopped, or the destination's mailbox or run queue was full. Genuinely
     /// per-node — cluster-wide totals live in [`ClusterStats`].
     pub dropped_frames: u64,
     /// Oracle-facing digest of the node's state — the same shape the

@@ -78,13 +78,14 @@ pub enum ToWorker {
 /// [`crate::reactor::NodeSnapshot::dropped_frames`] counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// The frame entered the destination worker's mailbox.
+    /// The frame entered the destination worker's mailbox (or, from
+    /// `Router::admit_local`, may enter the sending worker's run queue).
     Delivered,
     /// An active link partition swallowed the frame.
     PartitionDropped,
     /// The destination is unknown or stopped (a crashed host).
     Unroutable,
-    /// The destination worker's bounded mailbox was full; the frame was
+    /// The destination's bounded mailbox (or run queue) was full; the frame was
     /// dropped and counted, exactly like a UDP socket buffer overflowing.
     Backpressure,
 }

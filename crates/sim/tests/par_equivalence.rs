@@ -22,6 +22,9 @@
 //!   idle-window skipping jumps the gaps. The digest comparison proves
 //!   neither shortcut changes a single observable byte.
 
+mod common;
+
+use common::{assert_golden, Golden};
 use rgb_core::prelude::*;
 use rgb_sim::workload::ChurnParams;
 use rgb_sim::{Backend, LatencyBand, NetConfig, ParStats, Scenario, ScenarioOutcome};
@@ -158,6 +161,52 @@ fn par_digest_streams_match_sequential_across_the_matrix() {
                 }
             }
         }
+    }
+}
+
+/// The matrix above compares the engines with each other; this compares
+/// each family, at seed 7 on Seq and Par(3), with what it did when the pins
+/// were taken (see `common`).
+#[test]
+fn scenario_families_reproduce_their_pinned_fingerprints() {
+    let pins = [
+        Golden {
+            digests: 4338711283607944643,
+            sent_total: 258,
+            app_events: 134,
+            lost: 0,
+            stale_timer_skips: 99,
+            timer_fires: [0, 0, 0, 0, 0, 0],
+        },
+        Golden {
+            digests: 2904503120191425536,
+            sent_total: 4285,
+            app_events: 39,
+            lost: 249,
+            stale_timer_skips: 3962,
+            timer_fires: [205, 328, 103, 1200, 0, 0],
+        },
+        Golden {
+            digests: 7211921134004447858,
+            sent_total: 5692,
+            app_events: 440,
+            lost: 0,
+            stale_timer_skips: 5343,
+            timer_fires: [18, 696, 17, 919, 0, 0],
+        },
+        Golden {
+            digests: 11057331218499270821,
+            sent_total: 164,
+            app_events: 85,
+            lost: 0,
+            stale_timer_skips: 63,
+            timer_fires: [0, 0, 0, 0, 0, 0],
+        },
+    ];
+    let families = scenarios(7);
+    assert_eq!(families.len(), pins.len());
+    for (sc, want) in families.iter().zip(&pins) {
+        assert_golden(sc, want);
     }
 }
 

@@ -271,23 +271,11 @@ impl Cluster {
         self.shared.latency.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Messages dropped by the router (to crashed/unknown nodes).
-    #[deprecated(since = "0.6.0", note = "use `Cluster::stats().dropped_frames`")]
-    pub fn dropped_messages(&self) -> u64 {
-        self.router.dropped()
-    }
-
     /// Sever or heal the link between two NEs (both directions) — the
     /// operator-API face of scheduled [`rgb_core::faults::LinkPartition`]
     /// windows during scenario replay.
     pub fn set_partition(&self, a: NodeId, b: NodeId, severed: bool) {
         self.router.set_partition(a, b, severed);
-    }
-
-    /// Frames swallowed by link partitions so far.
-    #[deprecated(since = "0.6.0", note = "use `Cluster::stats().partition_dropped`")]
-    pub fn partition_dropped(&self) -> u64 {
-        self.router.partition_dropped()
     }
 
     /// A clone of the event sender (lets tests inject synthetic events).
@@ -302,28 +290,6 @@ impl Cluster {
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// The pre-reactor name of [`Cluster`].
-#[deprecated(since = "0.6.0", note = "renamed to `Cluster` (reactor runtime)")]
-pub type LiveCluster = Cluster;
-
-impl Cluster {
-    /// Spawn every node of `layout` with configuration `cfg`; one protocol
-    /// tick lasts `tick` of real time.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any configuration or spawn failure, as the pre-reactor
-    /// API did.
-    #[deprecated(since = "0.6.0", note = "use `Cluster::try_new` with a `LiveConfig`")]
-    pub fn start(layout: HierarchyLayout, cfg: &ProtocolConfig, tick: Duration) -> Self {
-        let live = LiveConfig::default().with_tick(tick);
-        match Cluster::try_new(layout, cfg, &live) {
-            Ok(cluster) => cluster,
-            Err(e) => panic!("failed to start live cluster: {e}"),
         }
     }
 }

@@ -33,8 +33,3 @@ pub use error::NetError;
 pub use reactor::{ClusterStats, LiveConfig, NodeSnapshot};
 pub use scenario::LiveEngine;
 pub use transport::{Router, SendOutcome, ToWorker};
-
-#[allow(deprecated)]
-pub use cluster::LiveCluster;
-#[allow(deprecated)]
-pub use scenario::{run_scenario, run_scenario_digest};

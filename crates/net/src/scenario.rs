@@ -291,30 +291,3 @@ impl LiveRuntime for LiveConfig {
         Ok((outcome, digest))
     }
 }
-
-/// Run `scenario` on the live substrate with one tick lasting `tick` of
-/// real time and up to `settle` of convergence polling.
-///
-/// # Panics
-///
-/// Panics if the scenario is invalid or the cluster cannot start.
-#[deprecated(since = "0.6.0", note = "use `Scenario::run_on(Backend::Live(&live_config))`")]
-pub fn run_scenario(scenario: &Scenario, tick: Duration, settle: Duration) -> ScenarioOutcome {
-    #[allow(deprecated)]
-    run_scenario_digest(scenario, tick, settle).0
-}
-
-/// [`run_scenario`] that also collects the final `SystemDigest`.
-///
-/// # Panics
-///
-/// Panics if the scenario is invalid or the cluster cannot start.
-#[deprecated(since = "0.6.0", note = "use `Scenario::run_on_digest(Backend::Live(&live_config))`")]
-pub fn run_scenario_digest(
-    scenario: &Scenario,
-    tick: Duration,
-    settle: Duration,
-) -> (ScenarioOutcome, SystemDigest) {
-    let config = LiveConfig::default().with_tick(tick).with_settle(settle);
-    config.run_live(scenario).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-}

@@ -1,10 +1,6 @@
-//! The unified run surface: one [`Backend`] choice instead of three
-//! incompatible entry points.
-//!
-//! Historically a scenario ran through `Scenario::run_sim` (sequential
-//! simulator), `Scenario::run_with(Parallelism)` (sharded simulator) or
-//! `rgb_net::run_scenario` (live runtime) — three APIs with three shapes.
-//! [`Scenario::run_on`](crate::scenario::Scenario::run_on) collapses them:
+//! The unified run surface: one [`Backend`] choice for
+//! [`Scenario::run_on`](crate::scenario::Scenario::run_on), whichever
+//! engine runs the world:
 //!
 //! | backend | engine | world |
 //! |---|---|---|

@@ -90,9 +90,8 @@ impl GenLimits {
     /// (`n = r·(1 + r + r²)`, ring sizes 22–36) with short durations and
     /// *shallow* fault schedules — crash probabilities an order of
     /// magnitude below [`GenLimits::full`], at most one partition, mild
-    /// loss. Meant to be driven through
-    /// [`Parallelism::Shards`](crate::par::Parallelism): the point is the
-    /// oracle battery at scale, not fault density.
+    /// loss. Meant to be driven through [`Backend::Par`](crate::Backend):
+    /// the point is the oracle battery at scale, not fault density.
     pub fn large() -> Self {
         GenLimits {
             min_height: 3,

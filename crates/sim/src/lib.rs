@@ -38,6 +38,7 @@ pub mod rng;
 pub mod scenario;
 pub mod sim;
 pub mod workload;
+mod world;
 
 pub use backend::{Backend, LiveRuntime};
 pub use engine::{Engine, EngineCounters};
@@ -48,7 +49,7 @@ pub use mobility::{MobilityModel, TimedEvent};
 pub use network::{LatencyBand, LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 pub use obs::{obs_json, prometheus_text, shard_loads_json, ObsReport, Timeline, TimelineEntry};
 pub use oracle::{check_repair_complete, check_ring_consistency, function_well_report};
-pub use par::{ParSimulation, Parallelism};
+pub use par::ParSimulation;
 pub use rng::SplitMix64;
 pub use scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};
 pub use sim::{MemoryStats, QueueKind, Simulation};

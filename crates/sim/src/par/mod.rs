@@ -62,8 +62,9 @@ pub(crate) mod shard;
 
 use crate::metrics::{Metrics, ParStats, ShardLoad};
 use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
-use crate::queue::{Event, EventKey, EventKind};
-use crate::sim::{MemoryStats, WirelessHop};
+use crate::queue::{Event, EventKey, QueueKind};
+use crate::sim::MemoryStats;
+use crate::world::{Part, Schedule, World};
 use partition::{LookaheadMatrix, ShardMap};
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
@@ -147,27 +148,6 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// How a scenario run executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Parallelism {
-    /// The sequential engine ([`crate::sim::Simulation`]).
-    #[default]
-    Seq,
-    /// The sharded conservative-parallel engine with this many shards.
-    /// `Shards(1)` is a valid (single-shard) parallel run; both produce
-    /// digest streams identical to [`Parallelism::Seq`].
-    Shards(usize),
-}
-
-impl std::fmt::Display for Parallelism {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Parallelism::Seq => write!(f, "seq"),
-            Parallelism::Shards(n) => write!(f, "shards({n})"),
-        }
-    }
-}
-
 /// The sharded conservative-parallel discrete-event engine (see module
 /// docs).
 #[derive(Debug)]
@@ -187,11 +167,9 @@ pub struct ParSimulation {
     /// Reusable scratch for the single-threaded outbox flush (boot and
     /// merged mode).
     staged: Vec<(usize, Event)>,
-    /// Schedule counter (mirrors the sequential engine's, so scheduled
-    /// events carry identical keys).
-    sched_seq: u64,
-    /// Wireless hop resolver (identical per-MH streams to sequential).
-    wireless: WirelessHop,
+    /// Scheduled-event keys and the wireless MH→AP hop: the sequential
+    /// engine's, so scheduled events carry identical keys and fates.
+    schedule: Schedule,
     net: NetworkModel,
     /// Send/loss counters accrued at schedule time (wireless hop), merged
     /// into [`ParSimulation::metrics`].
@@ -224,16 +202,18 @@ impl ParSimulation {
         let model = NetworkModel::new(net);
         let shards = (0..shards)
             .map(|id| {
-                Shard::new(
-                    id,
+                let part = Part { id, map: Arc::clone(&map) };
+                let world = World::new(
                     &layout,
                     cfg,
                     model.clone(),
                     seed,
+                    QueueKind::TimerWheel,
                     Arc::clone(&indexer),
                     Arc::clone(&classes),
-                    Arc::clone(&map),
-                )
+                    Some(part),
+                );
+                Shard::new(id, world)
             })
             .collect();
         ParSimulation {
@@ -244,8 +224,7 @@ impl ParSimulation {
             now: 0,
             la,
             staged: Vec::new(),
-            sched_seq: 0,
-            wireless: WirelessHop::new(seed),
+            schedule: Schedule::new(seed),
             net: model,
             driver_metrics: Metrics::default(),
             crash_log: Vec::new(),
@@ -289,7 +268,11 @@ impl ParSimulation {
     pub fn shard_loads(&self) -> Vec<ShardLoad> {
         self.shards
             .iter()
-            .map(|s| ShardLoad { nodes: s.len(), processed: s.processed, par: s.metrics.par })
+            .map(|s| ShardLoad {
+                nodes: s.world.nodes.len(),
+                processed: s.processed,
+                par: s.metrics.par,
+            })
             .collect()
     }
 
@@ -302,7 +285,7 @@ impl ParSimulation {
     /// cross-shard frames are exchanged once).
     pub fn boot_all(&mut self) {
         for shard in &mut self.shards {
-            shard.boot_all();
+            shard.run().boot_all();
         }
         self.flush_outboxes();
     }
@@ -311,7 +294,7 @@ impl ParSimulation {
     /// [`crate::sim::Simulation::set_delivered_cap`]).
     pub fn set_delivered_cap(&mut self, cap: usize) {
         for shard in &mut self.shards {
-            shard.set_delivered_cap(cap);
+            shard.world.delivered_cap = cap;
         }
     }
 
@@ -325,7 +308,7 @@ impl ParSimulation {
         F: FnMut(usize) -> Box<dyn rgb_core::obs::TraceSink>,
     {
         for shard in &mut self.shards {
-            shard.obs.enable(make_sink(shard.id));
+            shard.world.obs.enable(make_sink(shard.id));
         }
     }
 
@@ -333,7 +316,7 @@ impl ParSimulation {
     /// mode: per-level histograms feed coverage features at no trace cost.
     pub fn enable_obs_tracking(&mut self) {
         for shard in &mut self.shards {
-            shard.obs.enable_tracking();
+            shard.world.obs.enable_tracking();
         }
     }
 
@@ -344,7 +327,7 @@ impl ParSimulation {
     pub fn trace_snapshot(&self) -> Vec<rgb_core::obs::ObsRecord> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.extend(shard.obs.trace_snapshot());
+            all.extend(shard.world.obs.trace_snapshot());
         }
         all.sort_unstable();
         all
@@ -352,7 +335,7 @@ impl ParSimulation {
 
     /// Trace records evicted by sink capacity bounds, across every shard.
     pub fn trace_dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.obs.trace_dropped()).sum()
+        self.shards.iter().map(|s| s.world.obs.trace_dropped()).sum()
     }
 
     /// Merged per-ring-level latency surfaces across every shard (empty
@@ -370,22 +353,16 @@ impl ParSimulation {
     /// Join intervals discarded because a shard's first-seen table hit
     /// its cap (accounting trim only; protocol behaviour is unaffected).
     pub fn obs_first_seen_overflow(&self) -> u64 {
-        self.shards.iter().map(|s| s.obs.first_seen_overflow()).sum()
+        self.shards.iter().map(|s| s.world.obs.first_seen_overflow()).sum()
     }
 
-    fn sched_key(&mut self) -> EventKey {
-        let key = EventKey::scheduled(self.sched_seq);
-        self.sched_seq += 1;
-        key
-    }
-
-    /// Route a scheduled event to the shard owning `node`; events for ids
-    /// outside the layout are dropped (their side effects, if any, are the
-    /// caller's bookkeeping — see [`ParSimulation::crash_at`]).
-    fn route_to_owner(&mut self, node: NodeId, at: u64, key: EventKey, kind: EventKind) {
+    /// Land a scheduled event in the queue of the shard that holds `node`;
+    /// events for ids outside the layout are dropped (their side effects,
+    /// if any, are the caller's bookkeeping — see
+    /// [`ParSimulation::crash_at`]).
+    fn route_to_owner(&mut self, node: NodeId, event: Event) {
         if let Some(global) = self.indexer.index_of(node) {
-            let s = self.map.shard_of(global);
-            self.shards[s].enqueue(Event { at, key, kind });
+            self.shards[self.map.shard_of(global)].enqueue(event);
         }
     }
 
@@ -393,32 +370,26 @@ impl ParSimulation {
     /// hop resolved now, exactly like the sequential engine).
     pub fn schedule_mh(&mut self, delay: u64, ap: NodeId, event: MhEvent) {
         let send_at = self.now.saturating_add(delay);
-        if let Some(at) =
-            self.wireless.resolve(send_at, &event, &self.net, &mut self.driver_metrics)
+        let (gid, net) = (self.layout.gid, &self.net);
+        if let Some(event) =
+            self.schedule.mh(send_at, ap, event, gid, net, &mut self.driver_metrics)
         {
-            let frame = rgb_core::wire::encode(&Envelope {
-                gid: self.layout.gid,
-                msg: Msg::FromMh { event },
-            });
-            let key = self.sched_key();
-            self.route_to_owner(ap, at, key, EventKind::MhDeliver { ap, frame });
+            self.route_to_owner(ap, event);
         }
     }
 
     /// Schedule a node crash (ids outside the layout are remembered in the
     /// crash set without any engine effect, like sequentially).
     pub fn crash_at(&mut self, delay: u64, node: NodeId) {
-        let at = self.now.saturating_add(delay);
-        self.crash_log.push((at, node));
-        let key = self.sched_key();
-        self.route_to_owner(node, at, key, EventKind::Crash { node });
+        let event = self.schedule.crash(self.now.saturating_add(delay), node);
+        self.crash_log.push((event.at, node));
+        self.route_to_owner(node, event);
     }
 
     /// Schedule a membership query issued at `node`.
     pub fn schedule_query(&mut self, delay: u64, node: NodeId, scope: QueryScope) {
-        let at = self.now.saturating_add(delay);
-        let key = self.sched_key();
-        self.route_to_owner(node, at, key, EventKind::QueryStart { node, scope });
+        let event = self.schedule.query(self.now.saturating_add(delay), node, scope);
+        self.route_to_owner(node, event);
     }
 
     /// Schedule a timed link partition. The transition events are
@@ -427,9 +398,7 @@ impl ParSimulation {
     /// consults this pair (the drop check runs on the sender's shard, and
     /// the sender of an affected frame is always an endpoint).
     pub fn schedule_partition(&mut self, p: LinkPartition) {
-        debug_assert!(p.heal_at > p.at, "validated by Scenario");
-        let start_key = self.sched_key();
-        let heal_key = self.sched_key();
+        let transitions = self.schedule.partition(self.now, p);
         let mut targets: Vec<usize> = [p.a, p.b]
             .iter()
             .filter_map(|&n| self.indexer.index_of(n))
@@ -438,16 +407,9 @@ impl ParSimulation {
         targets.sort_unstable();
         targets.dedup();
         for s in targets {
-            self.shards[s].enqueue(Event {
-                at: self.now.saturating_add(p.at),
-                key: start_key,
-                kind: EventKind::PartitionStart { a: p.a, b: p.b },
-            });
-            self.shards[s].enqueue(Event {
-                at: self.now.saturating_add(p.heal_at),
-                key: heal_key,
-                kind: EventKind::PartitionHeal { a: p.a, b: p.b },
-            });
+            for event in &transitions {
+                self.shards[s].enqueue(event.clone());
+            }
         }
     }
 
@@ -457,7 +419,7 @@ impl ParSimulation {
     fn flush_outboxes(&mut self) {
         let mut staged = std::mem::take(&mut self.staged);
         for shard in &mut self.shards {
-            for (dest, events) in shard.outbox.iter_mut().enumerate() {
+            for (dest, events) in shard.world.outbox.iter_mut().enumerate() {
                 staged.extend(events.drain(..).map(|e| (dest, e)));
             }
         }
@@ -471,7 +433,9 @@ impl ParSimulation {
     /// queued), windows permitting parallel execution whenever the
     /// lookahead is positive.
     pub fn run_until(&mut self, deadline: u64) {
-        if deadline <= self.now {
+        // `run_until(now)` is not a no-op: what is due at `now` (a delay-0
+        // schedule, a zero-latency cascade) is drained, as sequentially.
+        if deadline < self.now {
             return;
         }
         if self.la.global() == 0 {
@@ -518,7 +482,7 @@ impl ParSimulation {
         let start = self.now;
         let nshards = self.shards.len();
         let active: Vec<bool> =
-            self.shards.iter().map(|s| s.len() > 0 || s.queue_len() > 0).collect();
+            (self.shards.iter()).map(|s| !(s.world.nodes.is_empty() && s.queue_len() == 0)).collect();
         let threads = active.iter().filter(|&&a| a).count();
         if threads <= 1 {
             // Nothing can cross shards: drive the one populated shard
@@ -640,20 +604,22 @@ impl ParSimulation {
     /// `(at, key)` minimum across shard queues — the sequential semantics
     /// over the partitioned state. No parallel speedup, but scenario knobs
     /// and digests behave identically, so an instant-network run is still
-    /// valid under any `Parallelism`.
+    /// valid under any shard count.
     fn run_merged(&mut self, deadline: u64) {
         loop {
             let mut best: Option<(u64, EventKey, usize)> = None;
             for (i, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((at, key)) = shard.peek_entry() {
+                if let Some((at, key)) = shard.world.events.peek_entry(shard.now) {
                     if at <= deadline && best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
                         best = Some((at, key, i));
                     }
                 }
             }
             let Some((_, _, i)) = best else { break };
-            self.shards[i].step();
-            if self.shards[i].outbox.iter().any(|o| !o.is_empty()) {
+            let shard = &mut self.shards[i];
+            shard.run().step();
+            shard.processed += 1;
+            if shard.world.outbox.iter().any(|o| !o.is_empty()) {
                 self.flush_outboxes();
             }
         }
@@ -675,7 +641,7 @@ impl ParSimulation {
 
     /// Scheduled disruptions still queued across all shards.
     pub fn pending_disruptions(&self) -> usize {
-        self.shards.iter().map(|s| s.pending_disruptions()).sum()
+        self.shards.iter().map(|s| s.world.events.disruptions()).sum()
     }
 
     /// Whether `node` has crashed (scheduled ids outside the layout
@@ -719,7 +685,7 @@ impl ParSimulation {
     pub fn memory_stats(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
         for shard in &self.shards {
-            stats.merge(&shard.memory_stats());
+            stats.merge(&shard.world.memory_stats());
         }
         stats
     }
@@ -727,10 +693,9 @@ impl ParSimulation {
     /// Oracle-facing digest of the whole system, byte-identical to the
     /// sequential engine's at every `run_until` boundary.
     pub fn system_digest(&self, settled: bool) -> SystemDigest {
-        let mut tagged = Vec::new();
-        for shard in &self.shards {
-            shard.digests_into(&mut tagged);
-        }
+        let mut tagged: Vec<_> = (self.shards.iter())
+            .flat_map(|s| s.world.alive().map(|(global, node)| (global, node.digest())))
+            .collect();
         tagged.sort_by_key(|&(global, _)| global);
         let nodes = tagged.into_iter().map(|(_, digest)| digest).collect();
         SystemDigest { now: self.now, nodes, crashed: self.crashed_set(), settled }
@@ -744,11 +709,10 @@ impl ParSimulation {
     /// Final membership views (the substrate-independent
     /// [`ScenarioOutcome`](crate::scenario::ScenarioOutcome) content).
     pub fn views(&self) -> std::collections::BTreeMap<NodeId, BTreeSet<Guid>> {
-        let mut views = Vec::new();
-        for shard in &self.shards {
-            shard.views_into(&mut views);
-        }
-        views.into_iter().collect()
+        (self.shards.iter())
+            .flat_map(|s| s.world.alive())
+            .map(|(_, node)| (node.id, crate::scenario::operational_guids(&node.ring_members)))
+            .collect()
     }
 
     /// Every node's protocol state, in id order (cold path: gathers across
@@ -756,7 +720,7 @@ impl ParSimulation {
     pub fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> + '_ {
         self.indexer.iter().map(|(global, id)| {
             let shard = &self.shards[self.map.shard_of(global)];
-            (id, shard.node_at(self.map.local_of(global).as_usize()))
+            (id, &shard.world.nodes[self.map.local_of(global).as_usize()])
         })
     }
 }
@@ -811,14 +775,14 @@ mod tests {
         assert!(seq.metrics.duplicated > 0 && seq.metrics.reordered > 0, "storm never fired");
         assert_eq!(seq.metrics.codec_rejected, 0);
         assert_eq!(par.metrics().codec_rejected, 0);
-        assert!(!seq.frames.buffers().is_empty(), "sequential pool never used");
+        assert!(!seq.world.frames.buffers().is_empty(), "sequential pool never used");
         assert!(
-            par.shards.iter().any(|s| !s.frames.buffers().is_empty()),
+            par.shards.iter().any(|s| !s.world.frames.buffers().is_empty()),
             "shard pools never used"
         );
-        assert_bounded(&seq.frames, "seq");
+        assert_bounded(&seq.world.frames, "seq");
         for shard in &par.shards {
-            assert_bounded(&shard.frames, "shard");
+            assert_bounded(&shard.world.frames, "shard");
         }
     }
 }

@@ -29,7 +29,7 @@
 //! saturates. A regression test drains events parked at `u64::MAX`.
 
 use crate::rng::SplitMix64;
-use crate::sim::{NODE_STREAM_SALT, NO_QUERY};
+use crate::world::{NODE_STREAM_SALT, NO_QUERY};
 use bytes::Bytes;
 use rgb_core::prelude::*;
 use rgb_core::substrate::TimerSet;

@@ -16,7 +16,7 @@ use crate::backend::Backend;
 use crate::fault::PlannedCrash;
 use crate::mobility::{MobilityModel, TimedEvent};
 use crate::network::NetConfig;
-use crate::par::{ParSimulation, Parallelism};
+use crate::par::ParSimulation;
 use crate::sim::Simulation;
 use crate::workload::{churn, ChurnParams};
 use rgb_core::prelude::*;
@@ -530,34 +530,6 @@ impl Scenario {
             }
             Backend::Live(runtime) => runtime.run_live(self),
         }
-    }
-
-    /// Run the scenario on the simulator substrate for its full duration
-    /// and collect the outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] fails.
-    #[deprecated(since = "0.6.0", note = "use `Scenario::run_on(Backend::Sim)`")]
-    pub fn run_sim(&self) -> ScenarioOutcome {
-        self.run_on(Backend::Sim).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-    }
-
-    /// [`Scenario::run_sim`] under an explicit execution mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] fails.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Scenario::run_on(Backend::Sim)` / `run_on(Backend::Par(shards))`"
-    )]
-    pub fn run_with(&self, parallelism: Parallelism) -> ScenarioOutcome {
-        let backend = match parallelism {
-            Parallelism::Seq => Backend::Sim,
-            Parallelism::Shards(shards) => Backend::Par(shards),
-        };
-        self.run_on(backend).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
     }
 
     /// Build a booted [`ParSimulation`] with the entire schedule primed —

@@ -1,160 +1,31 @@
-//! The discrete-event simulation engine: an event queue over the sans-IO
-//! node state machines, with the network model supplying latency and loss,
-//! deterministic timer management, fault injection and metrics.
+//! The sequential discrete-event engine: the whole-world case of the
+//! world core.
 //!
-//! The simulator is one of the two [`Substrate`] implementations shipped
-//! with this workspace (the other is `rgb-net`'s threaded runtime). Every
-//! protocol output is interpreted by the shared
-//! [`rgb_core::substrate::apply_outputs`] driver, which wire-encodes each
-//! send — so **every delivery in the simulated world crosses
-//! [`rgb_core::wire`]**, byte-for-byte the same codec the live runtime puts
-//! on its channels, and is decoded again on arrival. The wireless MH→AP hop
-//! travels as an encoded [`Msg::FromMh`] frame for the same reason.
+//! [`Simulation`] holds every ring of the layout in one `World` (the
+//! crate-private `world` module, whose docs describe the dispatch loop, the
+//! hot-path layout and why a run does not depend on execution order) and
+//! drives it with its own public clock and metrics. What this file adds is
+//! the public API around that core — construction, the scheduling surface
+//! (whose events land in the world's own queue, ids outside the layout
+//! included), the run loops, accessors — and [`MemoryStats`].
 //!
-//! ## Hot-path layout
-//!
-//! The dispatch loop ([`Simulation::step`] / [`Simulation::inject`]) runs
-//! entirely on dense, precomputed structures:
-//!
-//! - node state and deliveries live in `Vec`s indexed by [`NodeIdx`] (the
-//!   [`rgb_core::topology::NodeIndexer`] arena) — no `BTreeMap`/`BTreeSet`
-//!   in `step()`;
-//! - everything else the engine keeps per node — crash flag, timer
-//!   generation, live timers, emission counter, random stream, query
-//!   clock — is **one packed slot per node** (the crate-private
-//!   `NodeSlot`, shared with every shard of [`crate::par`]): a delivery,
-//!   its ack and the timers they arm touch one 192-byte slot whose live
-//!   timers sit inline ([`rgb_core::substrate::TimerSet`]), not six
-//!   parallel arrays on six pages;
-//! - link classification is a [`LinkClassMatrix`] lookup precomputed at
-//!   construction — no per-send `placement()` walks;
-//! - send counters are fixed-slot arrays keyed by [`MsgLabel`] and
-//!   [`LinkClass`] ([`Metrics::record_send`]);
-//! - timers are generation-stamped slots drained through a bucketed timer
-//!   wheel (the crate-private `queue` module), so re-armed periodic
-//!   timers stop accumulating stale heap entries; a drained bucket gives
-//!   its buffer back, so the wheel's memory follows what is queued, not
-//!   the largest tick each bucket ever held (every node boots at tick 0,
-//!   hence beats in the same tick: a 100k-entry burst per heartbeat
-//!   period, in a different bucket each time);
-//! - frames are pooled, and still encoded and decoded once per delivery:
-//!   [`Simulation::step`] returns each delivered frame to a bounded
-//!   [`FramePool`] and the next send encodes into a buffer taken from it
-//!   ([`Substrate::frame_buf`]), so in steady state the wire round trip
-//!   allocates nothing.
-//!
-//! ## Execution-order-independent determinism
-//!
-//! Randomness and event ordering are both keyed by **provenance**, not by
-//! global execution order:
-//!
-//! - every node draws latency/loss/duplication samples from its **own
-//!   [`SplitMix64`] stream** (seeded from `(seed, node id)`), and every
-//!   mobile host's wireless hop from a per-GUID stream resolved at
-//!   schedule time;
-//! - every queued event carries a deterministic key (the crate-private
-//!   `queue` module's `EventKey`) derived from its creator and that
-//!   creator's emission counter.
-//!
-//! A node's behaviour therefore depends only on the sequence of inputs
-//! *it* receives — never on how the engine interleaved *other* nodes in
-//! between. That property is what lets the sharded conservative-parallel
-//! engine ([`crate::par`]) reproduce this sequential engine's
-//! [`SystemDigest`] stream byte for byte.
+//! The sharded conservative-parallel engine ([`crate::par`]) runs the same
+//! core once per shard and reproduces this engine's [`SystemDigest`] stream
+//! byte for byte.
 
 use crate::metrics::Metrics;
-use crate::network::{LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
-use crate::obs::EngineObs;
-use crate::queue::{Event, EventKey, EventKind, EventQueue, NodeSlot};
+use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
 use crate::rng::SplitMix64;
-use bytes::{Bytes, BytesMut};
+use crate::world::{Run, Schedule, World};
+use bytes::Bytes;
 use rgb_core::node::NodeState;
 use rgb_core::obs::{ObsRecord, TraceSink};
 use rgb_core::prelude::*;
-use rgb_core::substrate::FramePool;
 use rgb_core::topology::HierarchyLayout;
-use rgb_core::wire;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 pub use crate::queue::QueueKind;
-
-/// Sentinel for "no query outstanding" in the per-node query clock.
-pub(crate) const NO_QUERY: u64 = u64::MAX;
-
-/// Stream-id salt of per-node RNG streams (XORed with the node id).
-pub(crate) const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
-/// Stream-id salt of per-MH wireless streams (XORed with the GUID).
-pub(crate) const MH_STREAM_SALT: u64 = 0x7769_7265_6c65_7373; // "wireless"
-/// Stream id of the fallback stream for sends from outside the layout.
-pub(crate) const EXT_STREAM_SALT: u64 = 0x4558_5445_524e_414c; // "EXTERNAL"
-/// `src` slot marking runtime events created outside the layout.
-pub(crate) const EXT_SRC: u32 = u32::MAX;
-
-/// The GUID an [`MhEvent`] concerns (its wireless-stream key).
-pub(crate) fn mh_guid(event: &MhEvent) -> Guid {
-    match event {
-        MhEvent::Join { guid, .. }
-        | MhEvent::Leave { guid }
-        | MhEvent::HandoffIn { guid, .. }
-        | MhEvent::FailureDetected { guid }
-        | MhEvent::Disconnect { guid }
-        | MhEvent::Resume { guid, .. } => *guid,
-    }
-}
-
-/// The wireless MH→AP hop, resolved at schedule time.
-///
-/// A mobile-host event's loss, latency and per-MH FIFO floor depend only
-/// on the schedule itself and the MH's private random stream — nothing the
-/// simulation computes feeds back into them — so both engines resolve the
-/// whole hop the moment the event is scheduled and queue only the
-/// resulting [`EventKind::MhDeliver`] (or count the loss). This keeps the
-/// per-GUID FIFO state out of the hot path entirely, and out of the
-/// sharded engine's cross-shard state.
-#[derive(Debug)]
-pub(crate) struct WirelessHop {
-    seed: u64,
-    streams: BTreeMap<Guid, SplitMix64>,
-    /// Last wireless delivery time per MH: the hop is FIFO per MH
-    /// (link-layer ordering), so a host's Leave can never overtake its own
-    /// Join despite latency jitter.
-    last_delivery: BTreeMap<Guid, u64>,
-}
-
-impl WirelessHop {
-    pub fn new(seed: u64) -> Self {
-        WirelessHop { seed, streams: BTreeMap::new(), last_delivery: BTreeMap::new() }
-    }
-
-    /// Resolve one scheduled MH event sent at `send_at`: counts the send,
-    /// samples loss and latency from the MH's stream and applies the
-    /// per-MH FIFO floor. Returns the delivery time, or `None` when the
-    /// wireless hop lost the event.
-    pub fn resolve(
-        &mut self,
-        send_at: u64,
-        event: &MhEvent,
-        net: &NetworkModel,
-        metrics: &mut Metrics,
-    ) -> Option<u64> {
-        metrics.record_send(MsgLabel::FromMh, LinkClass::Wireless);
-        let guid = mh_guid(event);
-        let seed = self.seed;
-        let rng = self
-            .streams
-            .entry(guid)
-            .or_insert_with(|| SplitMix64::stream(seed, MH_STREAM_SALT ^ guid.0));
-        if net.lost(LinkClass::Wireless, rng) {
-            metrics.lost += 1;
-            return None;
-        }
-        let latency = net.latency(LinkClass::Wireless, rng);
-        let earliest = self.last_delivery.get(&guid).map(|&t| t.saturating_add(1)).unwrap_or(0);
-        let deliver_at = send_at.saturating_add(latency).max(earliest);
-        self.last_delivery.insert(guid, deliver_at);
-        Some(deliver_at)
-    }
-}
 
 /// The discrete-event simulator.
 #[derive(Debug)]
@@ -165,144 +36,13 @@ pub struct Simulation {
     pub now: u64,
     /// Collected metrics.
     pub metrics: Metrics,
-    /// Dense NodeId ↔ NodeIdx arena over `layout`.
-    indexer: NodeIndexer,
-    /// Protocol state of every NE, by [`NodeIdx`].
-    nodes: Vec<NodeState>,
-    /// Engine-side state of every NE, by [`NodeIdx`]: crash flag, timer
-    /// generation and live timers, emission counter, random stream and
-    /// query clock in one slot.
-    slots: Vec<NodeSlot>,
-    /// Crashed NEs by id (cold mirror for reports and oracles; also keeps
-    /// ids outside the layout, exactly like the old `BTreeSet` did).
-    crashed_ids: BTreeSet<NodeId>,
-    /// Application deliveries per node, with timestamps, by [`NodeIdx`].
-    delivered: Vec<Vec<(u64, AppEvent)>>,
-    /// Per-node retention cap on `delivered` (opt-in; `usize::MAX` keeps
-    /// everything).
-    delivered_cap: usize,
-    /// Precomputed per-pair link classes.
-    classes: LinkClassMatrix,
-    events: EventQueue,
-    net: NetworkModel,
-    /// Stream + counter for runtime events created outside the layout.
-    ext_rng: SplitMix64,
-    ext_emit: u64,
-    /// Schedule counter (the `seq` of scheduled [`EventKey`]s).
-    sched_seq: u64,
+    /// Every ring of `layout`.
+    pub(crate) world: World,
+    /// Scheduled-event keys and the wireless MH→AP hop.
+    schedule: Schedule,
     /// Root stream handed to callers via [`Simulation::rng`] (workload
     /// generators fork from it); the engine itself never draws from it.
     root_rng: SplitMix64,
-    /// The wireless MH→AP hop, resolved at schedule time.
-    wireless: WirelessHop,
-    /// Currently severed NE pairs (normalised `(min, max)`), maintained by
-    /// the scheduled [`LinkPartition`] events. A pair appears once per
-    /// active window, so overlapping partitions on the same pair refcount
-    /// naturally: the link heals only when its *last* window ends. Almost
-    /// always empty, so the hot-path check is a single `is_empty` load.
-    partitioned: Vec<(NodeId, NodeId)>,
-    /// Reusable output buffer for the hot loop (no per-input allocation).
-    out_buf: OutputSink,
-    /// Delivered frames' buffers, reused by the next sends.
-    pub(crate) frames: FramePool,
-    /// Observability tracking (disabled by default; see
-    /// [`Simulation::enable_obs`]).
-    obs: EngineObs,
-}
-
-impl Substrate for Simulation {
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn send_frame(&mut self, from: NodeId, to: NodeId, label: MsgLabel, frame: Bytes) {
-        let fi = self.indexer.index_of(from);
-        let ti = self.indexer.index_of(to);
-        let class = self.classes.classify(fi, ti);
-        self.metrics.record_send(label, class);
-        if !self.partitioned.is_empty() && self.is_partitioned(from, to) {
-            self.metrics.partition_dropped += 1;
-            return;
-        }
-        // The sender's private stream and emission counter: both the frame
-        // fate and the event key derive from the sender alone.
-        let (rng, src, emit) = match fi {
-            Some(i) => {
-                let slot = &mut self.slots[i.as_usize()];
-                (&mut slot.rng, i.0, &mut slot.emit)
-            }
-            None => (&mut self.ext_rng, EXT_SRC, &mut self.ext_emit),
-        };
-        let Some(plan) = self.net.plan_frame(class, rng) else {
-            self.metrics.lost += 1;
-            return;
-        };
-        if plan.reordered {
-            self.metrics.reordered += 1;
-        }
-        if let Some(dup_latency) = plan.dup_latency {
-            self.metrics.duplicated += 1;
-            let key = EventKey::emitted(src, *emit);
-            *emit += 1;
-            self.events.push(
-                self.now,
-                self.now.saturating_add(dup_latency),
-                key,
-                EventKind::Deliver { from, to: ti, frame: frame.clone() },
-            );
-        }
-        let key = EventKey::emitted(src, *emit);
-        *emit += 1;
-        self.events.push(
-            self.now,
-            self.now.saturating_add(plan.latency),
-            key,
-            EventKind::Deliver { from, to: ti, frame },
-        );
-    }
-
-    fn arm_timer(&mut self, node: NodeId, kind: TimerKind, after: u64) {
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        let (gen, seq) = self.slots[idx.as_usize()].arm_timer(kind);
-        self.events.push(
-            self.now,
-            self.now.saturating_add(after),
-            EventKey::emitted(idx.0, seq),
-            EventKind::Timer { node: idx, kind, gen },
-        );
-    }
-
-    fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        self.slots[idx.as_usize()].timers.cancel(kind);
-    }
-
-    fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
-        self.metrics.app_events += 1;
-        let Some(idx) = self.indexer.index_of(node) else { return };
-        let i = idx.as_usize();
-        if let AppEvent::QueryResult { .. } = &event {
-            let t0 = std::mem::replace(&mut self.slots[i].query_started, NO_QUERY);
-            if t0 != NO_QUERY {
-                let dt = self.now - t0;
-                self.metrics.query_latency.record(dt);
-                self.obs.on_query_done(i, dt, &mut self.metrics);
-            }
-        }
-        if self.obs.enabled {
-            self.obs.on_app(self.now, i, &event, &mut self.metrics);
-        }
-        let log = &mut self.delivered[i];
-        if log.len() < self.delivered_cap {
-            log.push((self.now, event));
-        } else {
-            self.metrics.app_events_dropped += 1;
-        }
-    }
-
-    fn frame_buf(&mut self) -> BytesMut {
-        self.frames.get()
-    }
 }
 
 impl Simulation {
@@ -329,43 +69,23 @@ impl Simulation {
         seed: u64,
         queue: QueueKind,
     ) -> Self {
-        let indexer = layout.indexer();
-        let n = indexer.len();
-        let ring_counts = layout.level_ring_counts();
-        let nodes: Vec<NodeState> = indexer
-            .iter()
-            .map(|(_, id)| {
-                NodeState::from_layout_with_counts(&layout, id, cfg.clone(), &ring_counts)
-                    .expect("valid layout")
-            })
-            .collect();
-        let classes = LinkClassMatrix::new(&layout, &indexer);
-        let slots = indexer.iter().map(|(_, id)| NodeSlot::new(seed, id)).collect();
-        let obs_ids: Vec<NodeId> = indexer.iter().map(|(_, id)| id).collect();
-        let obs = EngineObs::new(&obs_ids, &layout);
+        let indexer = Arc::new(layout.indexer());
+        let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
+        let net = NetworkModel::new(net);
+        let world = World::new(&layout, cfg, net, seed, queue, indexer, classes, None);
         Simulation {
             layout,
             now: 0,
             metrics: Metrics::default(),
-            indexer,
-            nodes,
-            slots,
-            crashed_ids: BTreeSet::new(),
-            delivered: vec![Vec::new(); n],
-            delivered_cap: usize::MAX,
-            classes,
-            events: EventQueue::new(queue),
-            net: NetworkModel::new(net),
-            ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
-            ext_emit: 0,
-            sched_seq: 0,
+            world,
+            schedule: Schedule::new(seed),
             root_rng: SplitMix64::new(seed),
-            wireless: WirelessHop::new(seed),
-            partitioned: Vec::new(),
-            out_buf: OutputSink::new(),
-            frames: FramePool::default(),
-            obs,
         }
+    }
+
+    /// The world on this simulation's clock and metrics.
+    pub(crate) fn run(&mut self) -> Run<'_> {
+        self.world.run(&mut self.now, &mut self.metrics)
     }
 
     /// Enable observability: latency tracking into
@@ -374,30 +94,30 @@ impl Simulation {
     /// event keys, so enabling it leaves [`Simulation::system_digest`]
     /// streams byte-identical.
     pub fn enable_obs(&mut self, sink: Box<dyn TraceSink>) {
-        self.obs.enable(sink);
+        self.world.obs.enable(sink);
     }
 
     /// Enable latency tracking only (no trace retention) — the explorer's
     /// mode: per-level histograms feed coverage features at no trace cost.
     pub fn enable_obs_tracking(&mut self) {
-        self.obs.enable_tracking();
+        self.world.obs.enable_tracking();
     }
 
     /// The flight recorder's retained records, oldest first (empty when
     /// obs is disabled or tracking-only).
     pub fn trace_snapshot(&self) -> Vec<ObsRecord> {
-        self.obs.trace_snapshot()
+        self.world.obs.trace_snapshot()
     }
 
     /// Trace records evicted by the sink's capacity bound.
     pub fn trace_dropped(&self) -> u64 {
-        self.obs.trace_dropped()
+        self.world.obs.trace_dropped()
     }
 
     /// Join intervals discarded because the first-seen table hit its cap
     /// (accounting trim only; protocol behaviour is unaffected).
     pub fn obs_first_seen_overflow(&self) -> u64 {
-        self.obs.first_seen_overflow()
+        self.world.obs.first_seen_overflow()
     }
 
     /// Convenience constructor: full hierarchy of (h, r).
@@ -408,214 +128,68 @@ impl Simulation {
 
     /// Boot every node at time zero.
     pub fn boot_all(&mut self) {
-        for idx in 0..self.nodes.len() {
-            self.inject_idx(NodeIdx(idx as u32), Input::Boot);
-        }
+        self.run().boot_all();
     }
 
     /// Deliver an input to a node right now and process the outputs through
     /// the shared [`apply_outputs`] driver (sends are wire-encoded).
     /// Unknown nodes ignore the input.
     pub fn inject(&mut self, node: NodeId, input: Input) {
-        if let Some(idx) = self.indexer.index_of(node) {
-            self.inject_idx(idx, input);
+        if let Some(slot) = self.world.slot_of(node) {
+            self.run().inject(slot, input);
         }
-    }
-
-    /// Hot-path [`Simulation::inject`]: the node is already resolved.
-    fn inject_idx(&mut self, idx: NodeIdx, input: Input) {
-        let i = idx.as_usize();
-        if self.slots[i].crashed {
-            return;
-        }
-        let mut outs = std::mem::take(&mut self.out_buf);
-        self.nodes[i].handle_into(input, &mut outs);
-        let gid = self.layout.gid;
-        let id = self.indexer.id_of(idx);
-        apply_outputs(self, gid, id, &mut outs);
-        self.out_buf = outs;
-    }
-
-    /// Next scheduled-event key (schedule order, assigned at schedule
-    /// time — identical in every engine that schedules the same plan in
-    /// the same order).
-    fn sched_key(&mut self) -> EventKey {
-        let key = EventKey::scheduled(self.sched_seq);
-        self.sched_seq += 1;
-        key
     }
 
     /// Schedule a mobile-host event to reach `ap` after `delay` ticks plus
     /// the wireless hop. The hop (loss, latency, per-MH FIFO floor) is
-    /// resolved immediately from the MH's private stream (the crate's
-    /// wireless-hop resolver), so the send and any loss are counted now,
-    /// and only the resolved delivery is queued.
+    /// resolved immediately from the MH's private stream, so the send and
+    /// any loss are counted now, and only the resolved delivery is queued.
     pub fn schedule_mh(&mut self, delay: u64, ap: NodeId, event: MhEvent) {
         let send_at = self.now.saturating_add(delay);
-        if let Some(at) = self.wireless.resolve(send_at, &event, &self.net, &mut self.metrics) {
-            let frame =
-                wire::encode(&Envelope { gid: self.layout.gid, msg: Msg::FromMh { event } });
-            let key = self.sched_key();
-            self.events.push(self.now, at, key, EventKind::MhDeliver { ap, frame });
+        let (gid, net) = (self.layout.gid, &self.world.net);
+        if let Some(event) = self.schedule.mh(send_at, ap, event, gid, net, &mut self.metrics) {
+            self.world.enqueue(self.now, event);
         }
     }
 
     /// Schedule a node crash.
     pub fn crash_at(&mut self, delay: u64, node: NodeId) {
-        let key = self.sched_key();
-        self.events.push(self.now, self.now.saturating_add(delay), key, EventKind::Crash { node });
+        let event = self.schedule.crash(self.now.saturating_add(delay), node);
+        self.world.enqueue(self.now, event);
     }
 
     /// Schedule a membership query issued at `node`.
     pub fn schedule_query(&mut self, delay: u64, node: NodeId, scope: QueryScope) {
-        let key = self.sched_key();
-        self.events.push(
-            self.now,
-            self.now.saturating_add(delay),
-            key,
-            EventKind::QueryStart { node, scope },
-        );
+        let event = self.schedule.query(self.now.saturating_add(delay), node, scope);
+        self.world.enqueue(self.now, event);
     }
 
     /// Schedule a timed link partition (see [`LinkPartition`]): the pair is
     /// severed at `now + p.at` and heals at `now + p.heal_at`. Frames
     /// already in flight when the partition starts still arrive.
     pub fn schedule_partition(&mut self, p: LinkPartition) {
-        debug_assert!(p.heal_at > p.at, "validated by Scenario");
-        let (a, b) = (p.a, p.b);
-        let key = self.sched_key();
-        self.events.push(
-            self.now,
-            self.now.saturating_add(p.at),
-            key,
-            EventKind::PartitionStart { a, b },
-        );
-        let key = self.sched_key();
-        self.events.push(
-            self.now,
-            self.now.saturating_add(p.heal_at),
-            key,
-            EventKind::PartitionHeal { a, b },
-        );
+        for event in self.schedule.partition(self.now, p) {
+            self.world.enqueue(self.now, event);
+        }
+    }
+
+    /// Put `frame` on the simulated wire from `from` to `to`, exactly as a
+    /// node's own send would travel (counted under `label`, subject to
+    /// partitions, loss, duplication and reordering, decoded on arrival) —
+    /// how tests put garbage and foreign-group frames in front of the
+    /// receive path.
+    pub fn send_frame(&mut self, from: NodeId, to: NodeId, label: MsgLabel, frame: Bytes) {
+        self.run().send_frame(from, to, label, frame);
     }
 
     /// Whether the (unordered) pair `a`–`b` is currently severed.
     pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        let pair = if a <= b { (a, b) } else { (b, a) };
-        self.partitioned.contains(&pair)
-    }
-
-    /// Decode an arrived frame and feed it to `to`. Frames that fail to
-    /// decode or carry a foreign group id are dropped and counted, exactly
-    /// like the live runtime's receive path.
-    fn deliver_frame(&mut self, from: NodeId, to: Option<NodeIdx>, frame: &Bytes) {
-        match wire::decode(frame) {
-            Ok(env) if env.gid == self.layout.gid => {
-                if let Some(idx) = to {
-                    if self.obs.enabled {
-                        self.obs.on_msg(self.now, idx.as_usize(), &env.msg);
-                    }
-                    self.inject_idx(idx, Input::Msg { from, msg: env.msg });
-                }
-            }
-            _ => self.metrics.codec_rejected += 1,
-        }
+        self.world.is_partitioned(a, b)
     }
 
     /// Process the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Event { at, kind, .. }) = self.events.pop(self.now) else { return false };
-        self.now = self.now.max(at);
-        match kind {
-            EventKind::Deliver { from, to, frame } => {
-                let crashed = to.is_some_and(|idx| self.slots[idx.as_usize()].crashed);
-                if !crashed {
-                    self.deliver_frame(from, to, &frame);
-                }
-                self.frames.recycle(frame);
-            }
-            EventKind::Timer { node, kind, gen } => {
-                // Only fire if this is still the live generation of the
-                // timer: a re-arm or cancel since this entry was queued
-                // bumped or removed the slot, marking the entry stale.
-                let i = node.as_usize();
-                let slot = &mut self.slots[i];
-                if !slot.crashed && slot.timers.fire(gen) {
-                    self.metrics.record_timer_fire(kind);
-                    if self.obs.enabled {
-                        self.obs.on_timer_fire(self.now, i, kind);
-                    }
-                    self.inject_idx(node, Input::Timer(kind));
-                } else {
-                    self.metrics.stale_timer_skips += 1;
-                }
-            }
-            EventKind::MhDeliver { ap, frame } => {
-                let idx = self.indexer.index_of(ap);
-                let crashed = idx.is_some_and(|i| self.slots[i.as_usize()].crashed);
-                if !crashed {
-                    match wire::decode(&frame) {
-                        Ok(env) if env.gid == self.layout.gid => {
-                            if let Msg::FromMh { event } = env.msg {
-                                if let Some(idx) = idx {
-                                    self.inject_idx(idx, Input::Mh(event));
-                                }
-                            } else {
-                                self.metrics.codec_rejected += 1;
-                            }
-                        }
-                        _ => self.metrics.codec_rejected += 1,
-                    }
-                }
-            }
-            EventKind::Crash { node } => {
-                self.crashed_ids.insert(node);
-                if let Some(idx) = self.indexer.index_of(node) {
-                    let i = idx.as_usize();
-                    self.slots[i].crashed = true;
-                    self.slots[i].timers.clear();
-                    if self.obs.enabled {
-                        self.obs.on_crash(self.now, i);
-                    }
-                }
-            }
-            EventKind::QueryStart { node, scope } => {
-                if let Some(idx) = self.indexer.index_of(node) {
-                    self.slots[idx.as_usize()].query_started = self.now;
-                    if self.obs.enabled {
-                        self.obs.on_query_issue(self.now, idx.as_usize());
-                    }
-                    self.inject_idx(idx, Input::StartQuery { scope });
-                }
-            }
-            EventKind::PartitionStart { a, b } => {
-                // Trace at endpoint `a` only: the parallel engine
-                // replicates partition arms to both endpoint owners, and
-                // only `a`'s owner emits, keeping traces equivalent.
-                if self.obs.enabled {
-                    if let Some(ai) = self.indexer.index_of(a) {
-                        self.obs.on_partition(self.now, ai.as_usize(), true);
-                    }
-                }
-                // One entry per active window (no dedup): a heal removes
-                // one entry, so overlapping windows keep the pair severed
-                // until the last of them ends.
-                let pair = if a <= b { (a, b) } else { (b, a) };
-                self.partitioned.push(pair);
-            }
-            EventKind::PartitionHeal { a, b } => {
-                if self.obs.enabled {
-                    if let Some(ai) = self.indexer.index_of(a) {
-                        self.obs.on_partition(self.now, ai.as_usize(), false);
-                    }
-                }
-                let pair = if a <= b { (a, b) } else { (b, a) };
-                if let Some(pos) = self.partitioned.iter().position(|&p| p == pair) {
-                    self.partitioned.swap_remove(pos);
-                }
-            }
-        }
-        true
+        self.run().step()
     }
 
     /// Run until no events remain or `budget` events are processed.
@@ -627,23 +201,13 @@ impl Simulation {
                 return true;
             }
         }
-        self.events.is_empty()
+        self.world.events.is_empty()
     }
 
     /// Run until simulated time reaches `deadline` (events beyond it stay
     /// queued).
     pub fn run_until(&mut self, deadline: u64) {
-        loop {
-            match self.peek_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                }
-                _ => {
-                    self.now = self.now.max(deadline);
-                    return;
-                }
-            }
-        }
+        self.run().run_until(deadline);
     }
 
     /// Run until `deadline`, handing the simulation to `observe` every
@@ -671,7 +235,7 @@ impl Simulation {
     /// partition transitions) still queued — the explorer's quiescence gate
     /// only opens when this reaches zero. O(1).
     pub fn pending_disruptions(&self) -> usize {
-        self.events.disruptions()
+        self.world.events.disruptions()
     }
 
     /// Oracle-facing digest of the whole system: one [`StateDigest`] per
@@ -679,13 +243,8 @@ impl Simulation {
     /// verdict (see [`Simulation::pending_disruptions`] and the explorer's
     /// stability detector) and is recorded verbatim for gate-aware oracles.
     pub fn system_digest(&self, settled: bool) -> SystemDigest {
-        let nodes = self
-            .indexer
-            .iter()
-            .filter(|&(idx, _)| !self.slots[idx.as_usize()].crashed)
-            .map(|(idx, _)| self.nodes[idx.as_usize()].digest())
-            .collect();
-        SystemDigest { now: self.now, nodes, crashed: self.crashed_ids.clone(), settled }
+        let nodes = self.world.alive().map(|(_, node)| node.digest()).collect();
+        SystemDigest { now: self.now, nodes, crashed: self.world.crashed_ids.clone(), settled }
     }
 
     /// Run until `pred` holds (checked after every event) or `deadline`
@@ -723,12 +282,12 @@ impl Simulation {
 
     /// Borrow a node, or `None` for ids outside the layout.
     pub fn try_node(&self, id: NodeId) -> Option<&NodeState> {
-        self.indexer.index_of(id).map(|idx| &self.nodes[idx.as_usize()])
+        self.world.slot_of(id).map(|slot| &self.world.nodes[slot])
     }
 
     /// Every node's protocol state, in id order.
     pub fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
-        self.indexer.iter().map(|(idx, id)| (id, &self.nodes[idx.as_usize()]))
+        self.world.nodes.iter().map(|node| (node.id, node))
     }
 
     /// Whether `guid` is operational in `node`'s ring membership. Unknown
@@ -739,32 +298,25 @@ impl Simulation {
 
     /// Whether `node` has crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        match self.indexer.index_of(node) {
-            Some(idx) => self.slots[idx.as_usize()].crashed,
-            None => self.crashed_ids.contains(&node),
-        }
+        self.world.is_crashed(node)
     }
 
     /// Crashed NEs (ids outside the layout included, matching what was
     /// scheduled).
     pub fn crashed_set(&self) -> &BTreeSet<NodeId> {
-        &self.crashed_ids
+        &self.world.crashed_ids
     }
 
     /// Events delivered at a node (empty for unknown nodes).
     pub fn events_at(&self, node: NodeId) -> &[(u64, AppEvent)] {
-        self.indexer
-            .index_of(node)
-            .map(|idx| self.delivered[idx.as_usize()].as_slice())
-            .unwrap_or(&[])
+        self.world.slot_of(node).map(|slot| self.world.delivered[slot].as_slice()).unwrap_or(&[])
     }
 
     /// Every node's delivered events, in id order (nodes with no
     /// deliveries are skipped).
     pub fn delivered_iter(&self) -> impl Iterator<Item = (NodeId, &[(u64, AppEvent)])> {
-        self.indexer
-            .iter()
-            .map(|(idx, id)| (id, self.delivered[idx.as_usize()].as_slice()))
+        (self.world.nodes.iter().zip(&self.world.delivered))
+            .map(|(node, evs)| (node.id, evs.as_slice()))
             .filter(|(_, evs)| !evs.is_empty())
     }
 
@@ -774,10 +326,8 @@ impl Simulation {
     /// delivery log cannot grow without bound.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, u64, AppEvent)> {
         let mut out = Vec::new();
-        for (idx, id) in self.indexer.iter() {
-            for (at, ev) in self.delivered[idx.as_usize()].drain(..) {
-                out.push((id, at, ev));
-            }
+        for (node, evs) in self.world.nodes.iter().zip(&mut self.world.delivered) {
+            out.extend(evs.drain(..).map(|(at, ev)| (node.id, at, ev)));
         }
         out
     }
@@ -788,7 +338,7 @@ impl Simulation {
     /// multi-hour runs that would otherwise hold every [`AppEvent`]
     /// forever; metric counters and query latencies are unaffected.
     pub fn set_delivered_cap(&mut self, cap: usize) {
-        self.delivered_cap = cap;
+        self.world.delivered_cap = cap;
     }
 
     /// Alive nodes of a ring.
@@ -810,24 +360,24 @@ impl Simulation {
     /// Number of queued events (stale timer entries included) — the
     /// engine's working-set size, tracked by the benchmark harness.
     pub fn queue_len(&self) -> usize {
-        self.events.len()
+        self.world.events.len()
     }
 
     /// High-water mark of [`Simulation::queue_len`] since construction.
     pub fn peak_queue_len(&self) -> usize {
-        self.events.peak_len()
+        self.world.events.peak_len()
     }
 
     /// Timestamp of the next queued event, if any.
     pub fn peek_at(&mut self) -> Option<u64> {
-        self.events.peek_at(self.now)
+        self.world.events.peek_at(self.now)
     }
 
     /// Approximate resident memory of the engine's per-node state: the
     /// node arena, timer slots, delivered-event buffers and the event
     /// queue. See [`MemoryStats`] for what is (and is not) counted.
     pub fn memory_stats(&self) -> MemoryStats {
-        memory_stats_of(&self.nodes, &self.slots, &self.delivered, &self.events)
+        self.world.memory_stats()
     }
 }
 
@@ -881,35 +431,10 @@ impl MemoryStats {
     }
 }
 
-/// Shared [`MemoryStats`] accounting over one engine's arenas (the
-/// sequential engine and every shard of the parallel one call this with
-/// their own slices).
-pub(crate) fn memory_stats_of(
-    nodes: &[NodeState],
-    slots: &[NodeSlot],
-    delivered: &[Vec<(u64, AppEvent)>],
-    events: &EventQueue,
-) -> MemoryStats {
-    use std::mem::size_of;
-    let node_state_bytes = nodes.iter().map(|n| n.approx_bytes()).sum::<usize>();
-    let timer_bytes = slots.iter().map(|s| s.timers.approx_bytes()).sum();
-    let delivered_bytes = delivered
-        .iter()
-        .map(|d| size_of::<Vec<(u64, AppEvent)>>() + d.len() * size_of::<(u64, AppEvent)>())
-        .sum();
-    MemoryStats {
-        nodes: nodes.len(),
-        node_state_bytes,
-        timer_bytes,
-        delivered_bytes,
-        queue_entries: events.len(),
-        queue_bytes: events.retained_bytes(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rgb_core::wire;
 
     #[test]
     fn join_propagates_with_latency() {

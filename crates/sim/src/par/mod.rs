@@ -14,9 +14,11 @@
 //!    holds its even share of the nodes to within one ring.
 //!    [`ParSimulation::shard_loads`] reports what each shard held and did;
 //!    the sums alone cannot show an uneven split.
-//! 2. **Each shard** owns a dense local arena — node states, crash flags,
-//!    timer wheel, per-node random streams, metrics — and is a full
-//!    [`rgb_core::substrate::Substrate`] (`shard::Shard`).
+//! 2. **Each shard** holds its rings as one world of the crate-private
+//!    `world` module — the dispatch loop, arena, timer wheel and per-node
+//!    random streams the sequential engine runs over the whole layout — on
+//!    its own clock and metrics (`shard::Shard`); a frame for a node on
+//!    another shard is staged in the world's outbox instead of its queue.
 //! 3. **Synchronisation is conservative, per shard pair**: the *lookahead
 //!    matrix* (`partition::LookaheadMatrix`) records the minimum
 //!    [`LatencyBand`](crate::network::LatencyBand) floor over link classes
@@ -48,14 +50,15 @@
 //!
 //! The engine is not "deterministic for a fixed shard count" — it is
 //! **trace-equivalent to the sequential engine**, for every shard count.
-//! Randomness is drawn from per-node and per-MH streams, event order is
-//! decided by content-derived `EventKey`s (the crate-private `queue` module), and the window
-//! protocol guarantees every event is enqueued before its window is
-//! processed; therefore each node sees the identical input sequence it
-//! would have seen sequentially, and [`ParSimulation::system_digest`]
-//! reproduces the sequential [`SystemDigest`] byte for byte. The
-//! `par_equivalence` integration test pins this across seeds × shard
-//! counts × fault plans.
+//! The world core keys randomness and event order by provenance, so a node's
+//! behaviour depends only on the inputs *it* receives (see the `world`
+//! module docs); what this module adds is the window protocol's guarantee
+//! that every event is enqueued before its window is processed. Each node
+//! therefore sees the identical input sequence it would have seen
+//! sequentially, and [`ParSimulation::system_digest`] reproduces the
+//! sequential [`SystemDigest`] byte for byte. The `par_equivalence`
+//! integration test pins this across seeds × shard counts × fault plans,
+//! and against committed fingerprints.
 
 pub(crate) mod partition;
 pub(crate) mod shard;
@@ -164,13 +167,9 @@ pub struct ParSimulation {
     /// when at most one shard is populated, 0 when an instant network
     /// admits no window (merged fallback).
     la: LookaheadMatrix,
-    /// Reusable scratch for the single-threaded outbox flush (boot and
-    /// merged mode).
-    staged: Vec<(usize, Event)>,
     /// Scheduled-event keys and the wireless MH→AP hop: the sequential
     /// engine's, so scheduled events carry identical keys and fates.
     schedule: Schedule,
-    net: NetworkModel,
     /// Send/loss counters accrued at schedule time (wireless hop), merged
     /// into [`ParSimulation::metrics`].
     driver_metrics: Metrics,
@@ -200,6 +199,7 @@ impl ParSimulation {
         let map = Arc::new(ShardMap::new(&layout, &indexer, shards));
         let la = LookaheadMatrix::new(&layout, &indexer, &map, &net);
         let model = NetworkModel::new(net);
+        let schedule = Schedule::new(seed, layout.gid, model.clone());
         let shards = (0..shards)
             .map(|id| {
                 let part = Part { id, map: Arc::clone(&map) };
@@ -223,9 +223,7 @@ impl ParSimulation {
             shards,
             now: 0,
             la,
-            staged: Vec::new(),
-            schedule: Schedule::new(seed),
-            net: model,
+            schedule,
             driver_metrics: Metrics::default(),
             crash_log: Vec::new(),
         }
@@ -370,10 +368,7 @@ impl ParSimulation {
     /// hop resolved now, exactly like the sequential engine).
     pub fn schedule_mh(&mut self, delay: u64, ap: NodeId, event: MhEvent) {
         let send_at = self.now.saturating_add(delay);
-        let (gid, net) = (self.layout.gid, &self.net);
-        if let Some(event) =
-            self.schedule.mh(send_at, ap, event, gid, net, &mut self.driver_metrics)
-        {
+        if let Some(event) = self.schedule.mh(send_at, ap, event, &mut self.driver_metrics) {
             self.route_to_owner(ap, event);
         }
     }
@@ -413,20 +408,19 @@ impl ParSimulation {
         }
     }
 
-    /// Single-threaded outbox routing (boot and merged mode). The staging
-    /// buffer is an owned scratch field — merged mode flushes after every
+    /// Single-threaded outbox routing (boot and merged mode). Each outbox
+    /// is emptied in place and put back — merged mode flushes after every
     /// cross-shard burst, so this path must not allocate per call.
     fn flush_outboxes(&mut self) {
-        let mut staged = std::mem::take(&mut self.staged);
-        for shard in &mut self.shards {
-            for (dest, events) in shard.world.outbox.iter_mut().enumerate() {
-                staged.extend(events.drain(..).map(|e| (dest, e)));
+        for from in 0..self.shards.len() {
+            for dest in 0..self.shards.len() {
+                let mut events = std::mem::take(&mut self.shards[from].world.outbox[dest]);
+                for event in events.drain(..) {
+                    self.shards[dest].enqueue(event);
+                }
+                self.shards[from].world.outbox[dest] = events;
             }
         }
-        for (dest, event) in staged.drain(..) {
-            self.shards[dest].enqueue(event);
-        }
-        self.staged = staged;
     }
 
     /// Run until simulated time reaches `deadline` (events beyond it stay
@@ -481,8 +475,9 @@ impl ParSimulation {
     fn run_windowed(&mut self, deadline: u64) {
         let start = self.now;
         let nshards = self.shards.len();
-        let active: Vec<bool> =
-            (self.shards.iter()).map(|s| !(s.world.nodes.is_empty() && s.queue_len() == 0)).collect();
+        let active: Vec<bool> = (self.shards.iter())
+            .map(|s| !(s.world.nodes.is_empty() && s.queue_len() == 0))
+            .collect();
         let threads = active.iter().filter(|&&a| a).count();
         if threads <= 1 {
             // Nothing can cross shards: drive the one populated shard
@@ -727,9 +722,13 @@ impl ParSimulation {
 
 #[cfg(test)]
 mod tests {
+    use crate::metrics::ParStats;
     use crate::workload::ChurnParams;
     use crate::{NetConfig, Scenario};
+    use bytes::Bytes;
+    use rgb_core::prelude::*;
     use rgb_core::substrate::FramePool;
+    use rgb_core::wire;
 
     fn assert_bounded(pool: &FramePool, whose: &str) {
         let buffers = pool.buffers();
@@ -784,5 +783,64 @@ mod tests {
         for shard in &par.shards {
             assert_bounded(&shard.world.frames, "shard");
         }
+    }
+
+    /// The loop behaviours `sim.rs` tests on the whole world — garbage and
+    /// foreign-group frames rejected, a severed pair dropping frames until
+    /// it heals, the delivery cap — driven on a 2-shard world through a
+    /// pair of nodes that live on different shards: each is counted once,
+    /// by the shard the whole world's rule says, and the merged metrics are
+    /// the sequential engine's.
+    #[test]
+    fn a_part_rejects_severs_and_caps_like_the_whole_world() {
+        let sc = Scenario::new("cross-shard pair", 2, 3)
+            .with_net(NetConfig::unit())
+            .with_seed(3)
+            .with_delivered_cap(1)
+            .with_duration(2_000);
+        let aps = sc.layout().aps();
+        let sc = (0..5u64).fold(sc, |sc, g| sc.join(g, aps[0], Guid(g), Luid(1)));
+        let mut seq = sc.build_sim();
+        let mut par = sc.try_build_par(2).expect("scenario validates");
+        let (a, b) =
+            (par.indexer.id_of(par.map.members[0][0]), par.indexer.id_of(par.map.members[1][0]));
+        let gid = par.layout.gid;
+        let ack =
+            |gid| wire::encode(&Envelope { gid, msg: Msg::TokenAck { ring: RingId(0), seq: 1 } });
+        // One frame from `a` (on shard 0) to `b` (on shard 1), on both engines.
+        let send = |seq: &mut crate::Simulation, par: &mut super::ParSimulation, frame: Bytes| {
+            seq.send_frame(a, b, MsgLabel::TokenAck, frame.clone());
+            par.shards[0].run().send_frame(a, b, MsgLabel::TokenAck, frame);
+            par.flush_outboxes();
+        };
+        let window = LinkPartition { at: 10, heal_at: 50, a, b };
+        seq.schedule_partition(window);
+        par.schedule_partition(window);
+
+        send(&mut seq, &mut par, Bytes::from(vec![1, 2, 3]));
+        send(&mut seq, &mut par, ack(GroupId(99)));
+        seq.run_until(20);
+        par.run_until(20);
+        assert_eq!(par.shards[1].metrics.codec_rejected, 2, "the receiving shard rejects");
+        assert_eq!(par.shards[0].metrics.codec_rejected, 0);
+
+        send(&mut seq, &mut par, ack(gid));
+        assert_eq!(par.shards[0].metrics.partition_dropped, 1, "the sender's shard drops, once");
+        assert_eq!(
+            par.shards[1].metrics.partition_dropped, 0,
+            "b's shard severs the pair too, but sent nothing"
+        );
+        seq.run_until(60);
+        par.run_until(60);
+        send(&mut seq, &mut par, ack(gid));
+        assert_eq!(par.metrics().partition_dropped, 1, "healed link passes frames");
+
+        seq.run_until(sc.duration);
+        par.run_until(sc.duration);
+        assert_eq!(seq.system_digest(false), par.system_digest(false));
+        assert!(seq.metrics.app_events_dropped > 0, "cap must have dropped events");
+        let mut merged = par.metrics();
+        merged.par = ParStats::default(); // windows and batches: the sequential engine has none
+        assert_eq!(format!("{merged:?}"), format!("{:?}", seq.metrics));
     }
 }

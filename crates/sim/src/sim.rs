@@ -72,13 +72,14 @@ impl Simulation {
         let indexer = Arc::new(layout.indexer());
         let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
         let net = NetworkModel::new(net);
+        let schedule = Schedule::new(seed, layout.gid, net.clone());
         let world = World::new(&layout, cfg, net, seed, queue, indexer, classes, None);
         Simulation {
             layout,
             now: 0,
             metrics: Metrics::default(),
             world,
-            schedule: Schedule::new(seed),
+            schedule,
             root_rng: SplitMix64::new(seed),
         }
     }
@@ -146,8 +147,7 @@ impl Simulation {
     /// any loss are counted now, and only the resolved delivery is queued.
     pub fn schedule_mh(&mut self, delay: u64, ap: NodeId, event: MhEvent) {
         let send_at = self.now.saturating_add(delay);
-        let (gid, net) = (self.layout.gid, &self.world.net);
-        if let Some(event) = self.schedule.mh(send_at, ap, event, gid, net, &mut self.metrics) {
+        if let Some(event) = self.schedule.mh(send_at, ap, event, &mut self.metrics) {
             self.world.enqueue(self.now, event);
         }
     }

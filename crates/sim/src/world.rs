@@ -138,6 +138,8 @@ fn mh_guid(event: &MhEvent) -> Guid {
 #[derive(Debug)]
 pub(crate) struct Schedule {
     seed: u64,
+    gid: GroupId,
+    net: NetworkModel,
     /// Events scheduled so far (the `seq` of the next [`EventKey`]).
     seq: u64,
     streams: BTreeMap<Guid, SplitMix64>,
@@ -148,8 +150,9 @@ pub(crate) struct Schedule {
 }
 
 impl Schedule {
-    pub fn new(seed: u64) -> Self {
-        Schedule { seed, seq: 0, streams: BTreeMap::new(), last_delivery: BTreeMap::new() }
+    pub fn new(seed: u64, gid: GroupId, net: NetworkModel) -> Self {
+        let (streams, last_delivery) = (BTreeMap::new(), BTreeMap::new());
+        Schedule { seed, gid, net, seq: 0, streams, last_delivery }
     }
 
     fn event(&mut self, at: u64, kind: EventKind) -> Event {
@@ -167,8 +170,6 @@ impl Schedule {
         send_at: u64,
         ap: NodeId,
         event: MhEvent,
-        gid: GroupId,
-        net: &NetworkModel,
         metrics: &mut Metrics,
     ) -> Option<Event> {
         metrics.record_send(MsgLabel::FromMh, LinkClass::Wireless);
@@ -178,15 +179,15 @@ impl Schedule {
             .streams
             .entry(guid)
             .or_insert_with(|| SplitMix64::stream(seed, MH_STREAM_SALT ^ guid.0));
-        if net.lost(LinkClass::Wireless, rng) {
+        if self.net.lost(LinkClass::Wireless, rng) {
             metrics.lost += 1;
             return None;
         }
-        let latency = net.latency(LinkClass::Wireless, rng);
+        let latency = self.net.latency(LinkClass::Wireless, rng);
         let earliest = self.last_delivery.get(&guid).map(|&t| t.saturating_add(1)).unwrap_or(0);
         let at = send_at.saturating_add(latency).max(earliest);
         self.last_delivery.insert(guid, at);
-        let frame = wire::encode(&Envelope { gid, msg: Msg::FromMh { event } });
+        let frame = wire::encode(&Envelope { gid: self.gid, msg: Msg::FromMh { event } });
         Some(self.event(at, EventKind::MhDeliver { ap, frame }))
     }
 
@@ -275,7 +276,7 @@ pub(crate) struct World {
     /// and every node-local repair interval in one world, so the per-level
     /// histograms of the parts merge to the whole world's exactly.
     pub obs: EngineObs,
-    pub net: NetworkModel,
+    net: NetworkModel,
     // Shared, immutable facts of the layout.
     indexer: Arc<NodeIndexer>,
     classes: Arc<LinkClassMatrix>,

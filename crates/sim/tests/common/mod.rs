@@ -73,22 +73,12 @@ fn golden(digests: u64, m: &Metrics) -> Golden {
     }
 }
 
-/// The fingerprint of `sc` on the sequential engine.
-pub fn golden_seq(sc: &Scenario) -> Golden {
-    let mut sim = sc.build_sim();
-    let digests = digest_stream(&mut sim, sc.duration);
-    golden(digests, &sim.metrics)
-}
-
-/// The fingerprint of `sc` on the parallel engine with `shards` shards.
-pub fn golden_par(sc: &Scenario, shards: usize) -> Golden {
-    let mut sim = sc.try_build_par(shards).expect("scenario validates");
-    let digests = digest_stream(&mut sim, sc.duration);
-    golden(digests, &sim.metrics())
-}
-
 /// Assert `sc` reproduces `want` on Seq and on Par(3).
 pub fn assert_golden(sc: &Scenario, want: &Golden) {
-    assert_eq!(&golden_seq(sc), want, "'{}' on Seq", sc.name);
-    assert_eq!(&golden_par(sc, 3), want, "'{}' on Par(3)", sc.name);
+    let mut seq = sc.build_sim();
+    let digests = digest_stream(&mut seq, sc.duration);
+    assert_eq!(&golden(digests, &seq.metrics), want, "'{}' on Seq", sc.name);
+    let mut par = sc.try_build_par(3).expect("scenario validates");
+    let digests = digest_stream(&mut par, sc.duration);
+    assert_eq!(&golden(digests, &par.metrics()), want, "'{}' on Par(3)", sc.name);
 }

@@ -267,6 +267,46 @@ fn run_on_backends_produce_identical_outcomes() {
     assert_eq!(seq, sc.run_on(Backend::Par(4)).expect("valid scenario"));
 }
 
+/// `run_until(now)` drains what is due at `now` on both engines — on the
+/// merged path (instant network) and on the windowed one, where the window
+/// starts at its own deadline.
+#[test]
+fn run_until_now_drains_what_is_due_now_on_both_engines() {
+    for net in [NetConfig::instant(), NetConfig::default()] {
+        let sc = Scenario::new("due now", 2, 3).with_net(net).with_seed(7);
+        let ap = sc.layout().aps()[4];
+        let root = sc.layout().root_ring().nodes[0];
+        let sc = sc.join(0, ap, Guid(1), Luid(1));
+        for shards in [1usize, 2, 3] {
+            // Boot-time sends (and, with no wireless latency, the tick-0
+            // join) are due at the start.
+            let mut seq = sc.build_sim();
+            let mut par = sc.try_build_par(shards).expect("scenario validates");
+            seq.run_until(0);
+            par.run_until(0);
+            assert_eq!(seq.system_digest(false), par.system_digest(false), "{shards} shards, t=0");
+            assert_eq!(seq.queue_len(), par.queue_len(), "{shards} shards, t=0");
+            assert_eq!(seq.pending_disruptions(), par.pending_disruptions(), "{shards} shards");
+
+            // A delay-0 query scheduled mid-run is due at the clock.
+            seq.run_until(100);
+            par.run_until(100);
+            seq.schedule_query(0, root, QueryScope::Global);
+            par.schedule_query(0, root, QueryScope::Global);
+            seq.run_until(100);
+            par.run_until(100);
+            assert_eq!(seq.pending_disruptions(), 0, "the query was due at 100");
+            assert_eq!(par.pending_disruptions(), 0, "{shards} shards: the query was due at 100");
+            assert_eq!(seq.system_digest(true), par.system_digest(true), "{shards} shards, t=100");
+            seq.run_until(2_000);
+            par.run_until(2_000);
+            assert_eq!(seq.system_digest(false), par.system_digest(false), "{shards} shards, end");
+            assert_eq!(seq.metrics.query_latency.count(), 1);
+            assert_eq!(par.metrics().query_latency.count(), 1, "{shards} shards");
+        }
+    }
+}
+
 #[test]
 fn windowed_runs_report_par_stats_and_lookahead_slack() {
     let all = scenarios(7);

@@ -213,7 +213,7 @@ impl ParSimulation {
                     Arc::clone(&classes),
                     Some(part),
                 );
-                Shard::new(id, world)
+                Shard::new(world)
             })
             .collect();
         ParSimulation {
@@ -305,8 +305,8 @@ impl ParSimulation {
     where
         F: FnMut(usize) -> Box<dyn rgb_core::obs::TraceSink>,
     {
-        for shard in &mut self.shards {
-            shard.world.obs.enable(make_sink(shard.id));
+        for (id, shard) in self.shards.iter_mut().enumerate() {
+            shard.world.obs.enable(make_sink(id));
         }
     }
 
@@ -505,8 +505,8 @@ impl ParSimulation {
         let active = &active;
         let la = &self.la;
         std::thread::scope(|scope| {
-            for (shard, rx) in self.shards.iter_mut().zip(rxs.iter_mut()) {
-                if !active[shard.id] {
+            for (me, (shard, rx)) in self.shards.iter_mut().zip(rxs.iter_mut()).enumerate() {
+                if !active[me] {
                     continue;
                 }
                 let rx = rx.take().expect("one thread per shard");
@@ -516,7 +516,6 @@ impl ParSimulation {
                     // of waiting forever; the scope join then propagates
                     // the panic.
                     let _guard = PoisonOnPanic(barrier);
-                    let me = shard.id;
                     let mut clocks = vec![u64::MAX; nshards];
                     for (clock, &live) in clocks.iter_mut().zip(active) {
                         if live {

@@ -13,8 +13,6 @@ use crate::world::{Run, World};
 /// One shard's runtime state.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    /// This shard's slot in the `ShardMap`.
-    pub id: usize,
     /// Local clock: advanced by event pops, pinned to the window horizon
     /// at each barrier.
     pub now: u64,
@@ -31,9 +29,9 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Shard `id`, holding `world`.
-    pub fn new(id: usize, world: World) -> Self {
-        Shard { id, now: 0, metrics: Metrics::default(), world, processed: 0, spare: Vec::new() }
+    /// The shard holding `world`.
+    pub fn new(world: World) -> Self {
+        Shard { now: 0, metrics: Metrics::default(), world, processed: 0, spare: Vec::new() }
     }
 
     /// The world on this shard's clock and metrics.

@@ -257,17 +257,13 @@ impl Simulation {
         if pred(self) {
             return Some(self.now);
         }
-        loop {
-            match self.peek_at() {
-                Some(at) if at <= deadline => {
-                    self.step();
-                    if pred(self) {
-                        return Some(self.now);
-                    }
-                }
-                _ => return None,
+        while self.peek_at().is_some_and(|at| at <= deadline) {
+            self.step();
+            if pred(self) {
+                return Some(self.now);
             }
         }
+        None
     }
 
     /// Borrow a node.

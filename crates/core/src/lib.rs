@@ -83,6 +83,7 @@ pub mod testing;
 pub mod token;
 pub mod topology;
 pub mod view;
+pub mod wheel;
 pub mod wire;
 
 /// Commonly used items, re-exported.

@@ -8,11 +8,9 @@
 //! even share of the NEs, so no worker is the slow one by construction),
 //! one bounded mailbox of
 //! [`ToWorker`] messages, one equally bounded run queue of frames between
-//! its own nodes, and one wall-tick `TimerWheel` — the same
-//! bucketed wheel-plus-far-heap design as the simulator's event queue
-//! (`crates/sim/src/queue.rs`, drained burst buckets give their buffers
-//! back there and here), minus the determinism machinery a
-//! wall-clock world cannot honour anyway. The worker loop is a classic
+//! its own nodes, and one wall-tick [`Wheel`] of timers — the simulator's
+//! wheel ([`rgb_core::wheel`]), so same-tick timers fire in `(slot, gen)`
+//! order whatever order they were armed in. The worker loop is a classic
 //! reactor: fire due timers, drain a bounded batch of the run queue, then
 //! block on the mailbox until the next timer deadline (capped, and only if
 //! the run queue is empty) and drain a bounded batch of messages.
@@ -46,9 +44,9 @@ use rgb_core::obs::LevelHistograms;
 use rgb_core::prelude::{GroupId, NodeId};
 use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate, TimerSet};
 use rgb_core::topology::NodeIndexer;
+use rgb_core::wheel::{Wheel, WheelEntry};
 use rgb_core::wire;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -231,25 +229,6 @@ pub(crate) struct ReactorShared {
     pub latency: Mutex<LevelHistograms>,
 }
 
-/// log2 of the wheel size: the wheel covers `[cursor, cursor + 1024)`
-/// ticks, comfortably beyond every default protocol timeout at millisecond
-/// ticks; farther deadlines fall back to the heap.
-const WHEEL_BITS: u32 = 10;
-/// Number of wheel buckets.
-const WHEEL_SLOTS: u64 = 1 << WHEEL_BITS;
-/// Largest buffer (in entries, 8 KB) a drained wheel bucket keeps for its
-/// next tick; anything bigger is released on emptying — the reactor's copy
-/// of `rgb_sim::queue`'s `RELEASE_ENTRIES` rule (1,024 there). A worker's
-/// ticks are lumpy: every node boots in the same tick and beats in step
-/// ever after, so one tick in fifty arms a timer per hosted node, and the
-/// ticks in which those heartbeats arrive re-arm a parent or child timeout
-/// per node — each time in different buckets, until every one of the 1,024
-/// has held a burst and keeps its buffer (15 → 88 MB of RSS across a 20 s
-/// `live_day` window, 1,190 NEs a worker). Measured on that workload
-/// (EXPERIMENTS.md E20): 1,024 still retains 71 MB, 256 retains 24 MB, 64
-/// retains 18 MB at the same CPU cost but regrows the ~100-entry ordinary
-/// tick every time; 256 keeps those and releases the rest.
-const RELEASE_ENTRIES: usize = 256;
 /// Longest the worker loop blocks on its mailbox even with no timer due —
 /// a liveness bound, not a correctness one.
 const MAX_PARK: Duration = Duration::from_millis(50);
@@ -326,130 +305,28 @@ impl LocalIndex {
     }
 }
 
-/// One armed timer: wall-tick deadline, hosting worker's local node index,
-/// kind and the generation stamp that detects superseded entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One armed timer on a worker's wheel: wall-tick deadline, then the key
+/// `(slot, gen)` — the hosting worker's local node index and the generation
+/// stamp that detects superseded entries — which orders one tick's timers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct TimerEntry {
     at: u64,
-    node: u32,
-    kind: TimerKind,
+    slot: u32,
     gen: u64,
+    kind: TimerKind,
 }
 
-/// Per-worker wall-tick timer wheel: 1024 one-tick buckets in front of a
-/// `BinaryHeap` fallback for deadlines beyond the horizon — the simulator
-/// queue's design with the determinism machinery stripped (wall-clock
-/// firing order is inherently racy, and cancellation is generation-checked
-/// at fire time, so within-tick order is free).
-///
-/// Invariant: every wheel entry satisfies `at >= cursor`, and a non-empty
-/// bucket holds entries of a single tick (an entry a full rotation ahead
-/// would need `at - cursor >= WHEEL_SLOTS` at push time, which the
-/// admission test routes to the heap).
-#[derive(Debug)]
-struct TimerWheel {
-    buckets: Vec<Vec<TimerEntry>>,
-    far: BinaryHeap<Reverse<(u64, u32, TimerKind, u64)>>,
-    /// Next tick not yet drained.
-    cursor: u64,
-    len: usize,
-}
+impl WheelEntry for TimerEntry {
+    /// 10 KB of timers; why a worker keeps a quarter of what the simulator
+    /// keeps is in the `rgb_core::wheel` docs.
+    const RELEASE_ENTRIES: usize = 256;
 
-impl TimerWheel {
-    fn new() -> Self {
-        TimerWheel {
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            far: BinaryHeap::new(),
-            cursor: 0,
-            len: 0,
-        }
+    fn at(&self) -> u64 {
+        self.at
     }
 
-    fn wheel_len(&self) -> usize {
-        self.len - self.far.len()
-    }
-
-    /// Entry slots allocated across the buckets, used or not.
-    #[cfg(test)]
-    fn retained_entries(&self) -> usize {
-        self.buckets.iter().map(Vec::capacity).sum()
-    }
-
-    /// Arm an entry. Deadlines already behind the drain cursor are clamped
-    /// to it, so a timer armed for the tick currently being drained still
-    /// fires (this drain or the next pass) instead of parking in a bucket
-    /// the cursor has moved past.
-    fn arm(&mut self, at: u64, node: u32, kind: TimerKind, gen: u64) {
-        let at = at.max(self.cursor);
-        if at - self.cursor < WHEEL_SLOTS {
-            self.buckets[(at & (WHEEL_SLOTS - 1)) as usize].push(TimerEntry {
-                at,
-                node,
-                kind,
-                gen,
-            });
-        } else {
-            self.far.push(Reverse((at, node, kind, gen)));
-        }
-        self.len += 1;
-    }
-
-    /// Pop one entry with `at <= now`, or `None` when nothing is due. The
-    /// caller loops; entries armed during a drive at the current tick are
-    /// picked up by the same loop.
-    fn pop_due(&mut self, now: u64) -> Option<TimerEntry> {
-        if let Some(&Reverse((at, _, _, _))) = self.far.peek() {
-            if at <= now {
-                let Reverse((at, node, kind, gen)) = self.far.pop().expect("peeked");
-                self.len -= 1;
-                return Some(TimerEntry { at, node, kind, gen });
-            }
-        }
-        if self.wheel_len() == 0 {
-            // Nothing to scan: keep the cursor abreast of time so a long
-            // idle stretch is not replayed bucket-by-bucket later.
-            self.cursor = self.cursor.max(now);
-            return None;
-        }
-        while self.cursor <= now {
-            let bucket = (self.cursor & (WHEEL_SLOTS - 1)) as usize;
-            if let Some(entry) = self.buckets[bucket].pop() {
-                debug_assert_eq!(entry.at, self.cursor, "bucket holds a foreign tick");
-                self.len -= 1;
-                return Some(entry);
-            }
-            // Drained: give a burst's buffer back instead of parking it here
-            // for a whole rotation (see `RELEASE_ENTRIES`).
-            if self.buckets[bucket].capacity() > RELEASE_ENTRIES {
-                self.buckets[bucket] = Vec::new();
-            }
-            self.cursor += 1;
-        }
-        None
-    }
-
-    /// Earliest armed deadline (stale entries included — they only make
-    /// the worker wake early, never late).
-    fn next_deadline(&self) -> Option<u64> {
-        let far = self.far.peek().map(|&Reverse((at, _, _, _))| at);
-        let wheel = if self.wheel_len() == 0 {
-            None
-        } else {
-            let mut t = self.cursor;
-            loop {
-                // Non-empty wheel ⇒ some bucket within the horizon holds an
-                // entry, and a non-empty bucket is single-tick, so its first
-                // entry's `at` is that tick.
-                if let Some(e) = self.buckets[(t & (WHEEL_SLOTS - 1)) as usize].first() {
-                    break Some(e.at);
-                }
-                t += 1;
-            }
-        };
-        match (far, wheel) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+    fn set_at(&mut self, at: u64) {
+        self.at = at;
     }
 }
 
@@ -484,7 +361,7 @@ struct ReactorSubstrate<'a> {
     router: &'a Router,
     events: &'a Sender<(NodeId, AppEvent)>,
     shared: &'a ReactorShared,
-    wheel: &'a mut TimerWheel,
+    wheel: &'a mut Wheel<TimerEntry>,
     timers: &'a mut TimerSet,
     next_gen: &'a mut u64,
     dropped_frames: &'a mut u64,
@@ -539,7 +416,8 @@ impl Substrate for ReactorSubstrate<'_> {
         *self.next_gen += 1;
         let gen = *self.next_gen;
         self.timers.arm(kind, gen);
-        self.wheel.arm(self.now.saturating_add(after), self.slot, kind, gen);
+        let at = self.now.saturating_add(after);
+        self.wheel.push(TimerEntry { at, slot: self.slot, gen, kind });
     }
 
     fn cancel_timer(&mut self, _node: NodeId, kind: TimerKind) {
@@ -624,7 +502,7 @@ pub(crate) struct Worker {
     local: VecDeque<LocalFrame>,
     mailbox_capacity: usize,
     sent: FrameTally,
-    wheel: TimerWheel,
+    wheel: Wheel<TimerEntry>,
     outs: OutputSink,
     /// Buffers of the frames this worker decoded, reused by its sends.
     frames: FramePool,
@@ -675,7 +553,7 @@ impl Worker {
             local: VecDeque::new(),
             mailbox_capacity: spec.mailbox_capacity,
             sent: FrameTally::default(),
-            wheel: TimerWheel::new(),
+            wheel: Wheel::default(),
             outs: OutputSink::new(),
             frames: FramePool::default(),
         }
@@ -811,12 +689,12 @@ impl Worker {
         false
     }
 
-    /// Fire every timer due by now; entries armed for the current tick
-    /// while it drains are picked up by the same pass.
+    /// Fire every timer due by now, in `(at, slot, gen)` order; entries
+    /// armed for the tick being drained are picked up by the same pass.
     fn fire_due_timers(&mut self) {
         let now = self.clock.now();
         while let Some(entry) = self.wheel.pop_due(now) {
-            let i = entry.node as usize;
+            let i = entry.slot as usize;
             let Some(n) = self.nodes[i].as_mut() else { continue };
             if !n.timers.fire(entry.gen) {
                 continue;
@@ -855,8 +733,9 @@ impl Worker {
     /// queue is empty; `true` means stop the worker.
     fn drain_mailbox(&mut self) -> bool {
         let first = if self.local.is_empty() {
-            let timeout = match self.wheel.next_deadline() {
-                Some(at) => self.clock.until(at).min(MAX_PARK),
+            // Stale entries included: they only wake the worker early.
+            let timeout = match self.wheel.peek() {
+                Some(entry) => self.clock.until(entry.at).min(MAX_PARK),
                 None => MAX_PARK,
             };
             match self.rx.recv_timeout(timeout) {
@@ -931,61 +810,65 @@ mod tests {
         ));
     }
 
+    const SLOTS: u64 = Wheel::<TimerEntry>::SLOTS;
+
+    fn entry(at: u64, slot: u32, kind: TimerKind, gen: u64) -> TimerEntry {
+        TimerEntry { at, slot, gen, kind }
+    }
+
     #[test]
     fn wheel_fires_in_deadline_order_and_skips_stale_generations() {
-        let mut wheel = TimerWheel::new();
-        wheel.arm(5, 0, TimerKind::Heartbeat, 1);
-        wheel.arm(3, 1, TimerKind::TokenKick, 1);
-        wheel.arm(5, 0, TimerKind::Heartbeat, 2); // supersedes gen 1
-        assert_eq!(wheel.next_deadline(), Some(3));
+        let mut wheel = Wheel::default();
+        wheel.push(entry(5, 0, TimerKind::Heartbeat, 2)); // supersedes gen 1
+        wheel.push(entry(3, 1, TimerKind::TokenKick, 1));
+        wheel.push(entry(5, 0, TimerKind::Heartbeat, 1));
+        assert_eq!(wheel.peek().map(|e| e.at), Some(3));
         let e = wheel.pop_due(10).expect("due entry");
-        assert_eq!((e.at, e.node), (3, 1));
-        // Both generation-5 entries surface; the caller's gen check drops
-        // the stale one.
+        assert_eq!((e.at, e.slot), (3, 1));
+        // Both tick-5 entries surface, in generation order; the caller's
+        // gen check drops the stale one.
         let mut gens: Vec<u64> = Vec::new();
         while let Some(e) = wheel.pop_due(10) {
             assert_eq!(e.at, 5);
             gens.push(e.gen);
         }
-        gens.sort_unstable();
         assert_eq!(gens, vec![1, 2]);
         assert!(wheel.pop_due(u64::MAX).is_none());
     }
 
     #[test]
     fn wheel_far_deadlines_fall_back_to_the_heap() {
-        let mut wheel = TimerWheel::new();
-        wheel.arm(WHEEL_SLOTS * 7, 0, TimerKind::Heartbeat, 1);
-        wheel.arm(2, 1, TimerKind::Heartbeat, 1);
-        assert_eq!(wheel.next_deadline(), Some(2));
-        assert_eq!(wheel.pop_due(2).expect("near entry").node, 1);
-        assert_eq!(wheel.next_deadline(), Some(WHEEL_SLOTS * 7));
-        assert!(wheel.pop_due(WHEEL_SLOTS).is_none(), "far entry is not due yet");
-        let far = wheel.pop_due(WHEEL_SLOTS * 7).expect("far entry fires from the heap");
-        assert_eq!(far.at, WHEEL_SLOTS * 7);
+        let mut wheel = Wheel::default();
+        wheel.push(entry(SLOTS * 7, 0, TimerKind::Heartbeat, 1));
+        wheel.push(entry(2, 1, TimerKind::Heartbeat, 1));
+        assert_eq!(wheel.peek().map(|e| e.at), Some(2));
+        assert_eq!(wheel.pop_due(2).expect("near entry").slot, 1);
+        assert_eq!(wheel.peek().map(|e| e.at), Some(SLOTS * 7));
+        assert!(wheel.pop_due(SLOTS).is_none(), "far entry is not due yet");
+        let far = wheel.pop_due(SLOTS * 7).expect("far entry fires from the heap");
+        assert_eq!(far.at, SLOTS * 7);
     }
 
     #[test]
     fn wheel_sentinel_deadlines_do_not_overflow() {
-        let mut wheel = TimerWheel::new();
-        wheel.arm(u64::MAX, 0, TimerKind::Heartbeat, 1);
-        assert_eq!(wheel.next_deadline(), Some(u64::MAX));
+        let mut wheel = Wheel::default();
+        wheel.push(entry(u64::MAX, 0, TimerKind::Heartbeat, 1));
+        assert_eq!(wheel.peek().map(|e| e.at), Some(u64::MAX));
         assert!(wheel.pop_due(u64::MAX - 1).is_none());
         assert!(wheel.pop_due(u64::MAX).is_some());
     }
 
     #[test]
     fn wheel_clamps_past_deadlines_to_the_cursor() {
-        let mut wheel = TimerWheel::new();
+        let mut wheel = Wheel::default();
         // March the cursor forward with an armed+fired entry.
-        wheel.arm(100, 0, TimerKind::Heartbeat, 1);
+        wheel.push(entry(100, 0, TimerKind::Heartbeat, 1));
         assert!(wheel.pop_due(100).is_some());
         // Arming "in the past" must still fire, not vanish behind the
-        // cursor.
-        wheel.arm(7, 0, TimerKind::Heartbeat, 2);
+        // cursor: it is due at the cursor.
+        wheel.push(entry(7, 0, TimerKind::Heartbeat, 2));
         let e = wheel.pop_due(100).expect("clamped entry fires");
-        assert_eq!(e.gen, 2);
-        assert!(e.at >= 100 || e.at == 100, "deadline clamped to cursor");
+        assert_eq!((e.at, e.gen), (100, 2), "deadline clamped to the cursor");
     }
 
     #[test]
@@ -993,31 +876,32 @@ mod tests {
         // A worker's shape: every node boots in the same tick, so all of
         // them beat in the same tick every 50 — a 1,200-entry bucket that
         // lands in a different wheel slot each time (50·k mod 1024, 512 of
-        // them) — over a steady 100 entries a tick. Without the release
-        // each visited slot keeps its 2,048-entry buffer for good: the
-        // bound below breaks at the tenth burst, tick 500.
+        // them) — over a steady 100 entries a tick. Without the release at
+        // the reactor's `RELEASE_ENTRIES` each visited slot keeps its
+        // 2,048-entry buffer for good: the bound below breaks at the tenth
+        // burst, tick 500.
         const BURST: u32 = 1_200;
         const PERIOD: u64 = 50;
         const BACKGROUND_PER_TICK: u32 = 100;
         const BACKGROUND_PERIOD: u64 = 1_000;
-        let mut wheel = TimerWheel::new();
-        for node in 0..BURST {
-            wheel.arm(PERIOD, node, TimerKind::Heartbeat, 0);
+        let mut wheel = Wheel::default();
+        for slot in 0..BURST {
+            wheel.push(entry(PERIOD, slot, TimerKind::Heartbeat, 0));
         }
         for at in 1..=BACKGROUND_PERIOD {
-            for _ in 0..BACKGROUND_PER_TICK {
-                wheel.arm(at, BURST, TimerKind::TokenKick, 0);
+            for gen in 0..u64::from(BACKGROUND_PER_TICK) {
+                wheel.push(entry(at, BURST, TimerKind::TokenKick, gen));
             }
         }
-        let queued = wheel.len;
-        for now in 1..=3 * WHEEL_SLOTS + PERIOD {
+        let queued = wheel.len();
+        for now in 1..=3 * SLOTS + PERIOD {
             // Drained like the worker does: each expiry re-arms.
             while let Some(e) = wheel.pop_due(now) {
-                let period = if e.node < BURST { PERIOD } else { BACKGROUND_PERIOD };
-                wheel.arm(now + period, e.node, e.kind, e.gen + 1);
+                let period = if e.slot < BURST { PERIOD } else { BACKGROUND_PERIOD };
+                wheel.push(entry(now + period, e.slot, e.kind, e.gen + 1));
             }
-            assert_eq!(wheel.len, queued);
-            let retained = wheel.retained_entries();
+            assert_eq!(wheel.len(), queued);
+            let retained = wheel.capacity();
             assert!(
                 2 * retained <= 3 * queued,
                 "tick {now}: {retained} entry slots retained for {queued} queued"
@@ -1028,28 +912,64 @@ mod tests {
     #[test]
     fn a_timer_armed_while_its_own_tick_drains_still_fires() {
         // More than RELEASE_ENTRIES, so the drained bucket is replaced.
-        let burst = 2 * RELEASE_ENTRIES as u32;
-        let mut wheel = TimerWheel::new();
-        for node in 0..burst {
-            wheel.arm(5, node, TimerKind::Heartbeat, 1);
+        let burst = 2 * TimerEntry::RELEASE_ENTRIES as u32;
+        let mut wheel = Wheel::default();
+        for slot in 0..burst {
+            wheel.push(entry(5, slot, TimerKind::Heartbeat, 1));
         }
-        wheel.arm(9, 0, TimerKind::TokenKick, 9); // keeps the wheel scanning
+        wheel.push(entry(9, 0, TimerKind::TokenKick, 9)); // keeps the wheel scanning
         let mut fired = 0;
         while let Some(e) = wheel.pop_due(5) {
             fired += 1;
-            if e.gen == 1 && e.node == 0 {
-                // Armed for the tick being drained, by its last entry.
-                wheel.arm(5, burst, TimerKind::TokenKick, 2);
+            if e.gen == 1 && e.slot == 0 {
+                // Armed for the tick being drained, by its first entry.
+                wheel.push(entry(5, burst, TimerKind::TokenKick, 2));
             }
         }
         assert_eq!(fired, burst + 1, "the late entry fired in the same pass");
-        // After the pass the cursor has moved on: the same deadline clamps
-        // to the next tick instead of hiding in the released bucket.
-        wheel.arm(5, burst, TimerKind::TokenKick, 3);
-        assert!(wheel.pop_due(5).is_none());
-        assert_eq!(wheel.pop_due(6).map(|e| e.gen), Some(3));
+        // After the pass the same deadline is still due at the cursor, in
+        // the released bucket's fresh buffer.
+        wheel.push(entry(5, burst, TimerKind::TokenKick, 3));
+        assert_eq!(wheel.pop_due(5).map(|e| (e.at, e.gen)), Some((5, 3)));
+        assert_eq!(wheel.pop_due(8), None);
         assert_eq!(wheel.pop_due(9).map(|e| e.gen), Some(9));
-        assert_eq!(wheel.len, 0);
+        assert!(wheel.is_empty());
+    }
+
+    /// Same-tick timers fire in `(slot, gen)` order whatever order they
+    /// were armed in: the first step of the deterministic reactor (ROADMAP)
+    /// — a worker's firing order within a tick no longer depends on arm
+    /// order. Each root-ring node's heartbeat sends a frame to its child
+    /// ring's leader, so the run queue records the firing order.
+    #[test]
+    fn same_tick_timers_fire_in_key_order_whatever_the_arm_order() {
+        let fire = |arm_order: &[usize]| {
+            let (mut w, _router, _shared) = lone_worker(256);
+            for &i in arm_order {
+                let node = w.nodes[i].as_mut().expect("alive");
+                // A stale generation beside the live one: skipped, in order.
+                node.timers.arm(TimerKind::Heartbeat, 2);
+                for gen in [2, 1] {
+                    w.wheel.push(entry(0, i as u32, TimerKind::Heartbeat, gen));
+                }
+            }
+            w.fire_due_timers();
+            let mut from: Vec<NodeId> = w.local.iter().map(|&(from, _, _)| from).collect();
+            from.dedup();
+            from
+        };
+        let (w, _, _) = lone_worker(1);
+        let senders: Vec<usize> = (0..w.nodes.len())
+            .filter(|&i| w.nodes[i].as_ref().is_some_and(|n| !n.state.children.is_empty()))
+            .collect();
+        assert!(senders.len() >= 2, "the layout has a root ring that sponsors children");
+        let in_slot_order: Vec<NodeId> =
+            senders.iter().map(|&i| w.nodes[i].as_ref().expect("alive").state.id).collect();
+        let mut shuffled = senders.clone();
+        shuffled.reverse();
+        shuffled.rotate_left(1);
+        assert_eq!(fire(&senders), in_slot_order);
+        assert_eq!(fire(&shuffled), in_slot_order);
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use oracle::{check_repair_complete, check_ring_consistency, function_well_re
 pub use par::ParSimulation;
 pub use rng::SplitMix64;
 pub use scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};
-pub use sim::{MemoryStats, QueueKind, Simulation};
+pub use sim::{MemoryStats, Simulation};
 pub use workload::{churn, expected_members, ChurnParams};

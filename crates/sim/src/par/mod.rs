@@ -65,7 +65,7 @@ pub(crate) mod shard;
 
 use crate::metrics::{Metrics, ParStats, ShardLoad};
 use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
-use crate::queue::{Event, EventKey, QueueKind};
+use crate::queue::{Event, EventKey};
 use crate::sim::MemoryStats;
 use crate::world::{Part, Schedule, World};
 use partition::{LookaheadMatrix, ShardMap};
@@ -208,7 +208,6 @@ impl ParSimulation {
                     cfg,
                     model.clone(),
                     seed,
-                    QueueKind::TimerWheel,
                     Arc::clone(&indexer),
                     Arc::clone(&classes),
                     Some(part),
@@ -603,7 +602,7 @@ impl ParSimulation {
         loop {
             let mut best: Option<(u64, EventKey, usize)> = None;
             for (i, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((at, key)) = shard.world.events.peek_entry(shard.now) {
+                if let Some((at, key)) = shard.world.events.peek_entry() {
                     if at <= deadline && best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
                         best = Some((at, key, i));
                     }

@@ -60,7 +60,7 @@ impl Shard {
     /// the windowed driver's published progress bound (idle-window
     /// skipping jumps every clock to the minimum of these).
     pub fn next_event_at(&mut self) -> u64 {
-        self.world.events.peek_at(self.now).unwrap_or(u64::MAX)
+        self.world.events.peek_at().unwrap_or(u64::MAX)
     }
 
     /// Flush every non-empty outbox as **one batch per destination** into

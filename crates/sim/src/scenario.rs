@@ -439,28 +439,9 @@ impl Scenario {
     /// Fallible [`Scenario::build_sim`]: validates the definition first and
     /// reports what is wrong as a typed [`ScenarioError`].
     pub fn try_build_sim(&self) -> Result<Simulation, ScenarioError> {
-        self.try_build_sim_with_queue(crate::sim::QueueKind::TimerWheel)
-    }
-
-    /// [`Scenario::build_sim`] with an explicit event-queue implementation
-    /// (the engine-determinism tests replay one scenario on both kinds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] fails.
-    pub fn build_sim_with_queue(&self, queue: crate::sim::QueueKind) -> Simulation {
-        self.try_build_sim_with_queue(queue).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-    }
-
-    /// Fallible [`Scenario::build_sim_with_queue`].
-    pub fn try_build_sim_with_queue(
-        &self,
-        queue: crate::sim::QueueKind,
-    ) -> Result<Simulation, ScenarioError> {
         let layout = self.layout();
         self.validate_with(&layout)?;
-        let mut sim =
-            Simulation::new_with_queue(layout, &self.cfg, self.net.clone(), self.seed, queue);
+        let mut sim = Simulation::new(layout, &self.cfg, self.net.clone(), self.seed);
         self.prime(&mut sim);
         Ok(sim)
     }

@@ -25,8 +25,6 @@ use rgb_core::topology::HierarchyLayout;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-pub use crate::queue::QueueKind;
-
 /// The discrete-event simulator.
 #[derive(Debug)]
 pub struct Simulation {
@@ -53,27 +51,11 @@ impl Simulation {
     /// Panics if `net` fails [`NetConfig::validate`] (e.g. an inverted
     /// latency band).
     pub fn new(layout: HierarchyLayout, cfg: &ProtocolConfig, net: NetConfig, seed: u64) -> Self {
-        Self::new_with_queue(layout, cfg, net, seed, QueueKind::TimerWheel)
-    }
-
-    /// [`Simulation::new`] with an explicit event-queue implementation.
-    ///
-    /// [`QueueKind::BinaryHeap`] keeps the reference pure-heap ordering
-    /// semantics alive; the engine-determinism tests run both kinds on the
-    /// same scenario and assert identical traces. Production callers want
-    /// the default [`QueueKind::TimerWheel`].
-    pub fn new_with_queue(
-        layout: HierarchyLayout,
-        cfg: &ProtocolConfig,
-        net: NetConfig,
-        seed: u64,
-        queue: QueueKind,
-    ) -> Self {
         let indexer = Arc::new(layout.indexer());
         let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
         let net = NetworkModel::new(net);
         let schedule = Schedule::new(seed, layout.gid, net.clone());
-        let world = World::new(&layout, cfg, net, seed, queue, indexer, classes, None);
+        let world = World::new(&layout, cfg, net, seed, indexer, classes, None);
         Simulation {
             layout,
             now: 0,
@@ -366,7 +348,7 @@ impl Simulation {
 
     /// Timestamp of the next queued event, if any.
     pub fn peek_at(&mut self) -> Option<u64> {
-        self.world.events.peek_at(self.now)
+        self.world.events.peek_at()
     }
 
     /// Approximate resident memory of the engine's per-node state: the

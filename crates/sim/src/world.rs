@@ -43,13 +43,9 @@
 //!   construction — no per-send `placement()` walks;
 //! - send counters are fixed-slot arrays keyed by [`MsgLabel`] and
 //!   [`LinkClass`] ([`Metrics::record_send`]);
-//! - timers are generation-stamped slots drained through a bucketed timer
-//!   wheel (the crate-private `queue` module), so re-armed periodic
-//!   timers stop accumulating stale heap entries; a drained bucket gives
-//!   its buffer back, so the wheel's memory follows what is queued, not
-//!   the largest tick each bucket ever held (every node boots at tick 0,
-//!   hence beats in the same tick: a 100k-entry burst per heartbeat
-//!   period, in a different bucket each time);
+//! - timers are generation-stamped slots whose queue entries drain through
+//!   the shared timer wheel ([`rgb_core::wheel`]), so re-armed periodic
+//!   timers stop accumulating stale heap entries;
 //! - frames are pooled, and still encoded and decoded once per delivery:
 //!   [`Run::step`] returns each delivered frame to a bounded [`FramePool`]
 //!   and the next send encodes into a buffer taken from it
@@ -83,29 +79,80 @@ use crate::metrics::Metrics;
 use crate::network::{LinkClass, LinkClassMatrix, NetworkModel};
 use crate::obs::EngineObs;
 use crate::par::partition::ShardMap;
-use crate::queue::{Event, EventKey, EventKind, EventQueue, NodeSlot, QueueKind};
+use crate::queue::{Event, EventKey, EventKind, EventQueue};
 use crate::rng::SplitMix64;
 use crate::sim::MemoryStats;
 use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
 use rgb_core::prelude::*;
-use rgb_core::substrate::FramePool;
+use rgb_core::substrate::{FramePool, TimerSet};
 use rgb_core::topology::HierarchyLayout;
 use rgb_core::wire;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Sentinel for "no query outstanding" in the per-node query clock.
-pub(crate) const NO_QUERY: u64 = u64::MAX;
+const NO_QUERY: u64 = u64::MAX;
 
 /// Stream-id salt of per-node RNG streams (XORed with the node id).
-pub(crate) const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
+const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
 /// Stream-id salt of per-MH wireless streams (XORed with the GUID).
 const MH_STREAM_SALT: u64 = 0x7769_7265_6c65_7373; // "wireless"
 /// Stream id of the fallback stream for sends from outside the layout.
 const EXT_STREAM_SALT: u64 = 0x4558_5445_524e_414c; // "EXTERNAL"
 /// `src` slot marking runtime events created outside the layout.
 const EXT_SRC: u32 = u32::MAX;
+
+/// Everything a world keeps per node beside its protocol state, packed so
+/// that one event at a node touches one slot ([`World`]'s `slots`, indexed
+/// like its arena). Declaration order is layout order (`repr(C)`): the
+/// scalars every event reads come first, directly followed by the head of
+/// the timer set, so a token hop stays within the slot's first two cache
+/// lines.
+#[derive(Debug, Clone)]
+#[repr(C)]
+struct NodeSlot {
+    /// Timer generation counter (the stamp of the latest arm).
+    gen: u64,
+    /// Event-emission counter (the `seq` of this node's [`EventKey`]s).
+    emit: u64,
+    /// The node's private random stream — its draws depend only on its own
+    /// activity, never on engine interleaving.
+    rng: SplitMix64,
+    /// Start time of the outstanding query ([`NO_QUERY`] = none).
+    query_started: u64,
+    /// The node crashed: its deliveries and timers are dropped.
+    crashed: bool,
+    /// Live timers.
+    timers: TimerSet,
+}
+
+impl NodeSlot {
+    /// The slot of node `id`. Streams are keyed by the stable [`NodeId`]
+    /// (not a dense index), so any engine covering any subset of the layout
+    /// derives identical streams for identical nodes.
+    fn new(seed: u64, id: NodeId) -> Self {
+        NodeSlot {
+            gen: 0,
+            emit: 0,
+            rng: SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0),
+            query_started: NO_QUERY,
+            crashed: false,
+            timers: TimerSet::default(),
+        }
+    }
+
+    /// Arm `kind`: stamps a fresh generation and reserves the emission
+    /// number of the queue entry. Returns `(gen, emission seq)`.
+    #[inline]
+    fn arm_timer(&mut self, kind: TimerKind) -> (u64, u64) {
+        self.gen += 1;
+        self.timers.arm(kind, self.gen);
+        let seq = self.emit;
+        self.emit += 1;
+        (self.gen, seq)
+    }
+}
 
 /// The GUID an [`MhEvent`] concerns (its wireless-stream key).
 fn mh_guid(event: &MhEvent) -> Guid {
@@ -239,9 +286,7 @@ pub(crate) struct World {
     gid: GroupId,
     /// Protocol state of every NE held.
     pub nodes: Vec<NodeState>,
-    /// Engine-side state of every NE held: crash flag, timer generation
-    /// and live timers, emission counter, random stream and query clock in
-    /// one slot.
+    /// Engine-side state of every NE held, one [`NodeSlot`] each.
     slots: Vec<NodeSlot>,
     /// NEs whose scheduled crash this world processed, by id (cold mirror
     /// of the slots' flags for reports and oracles; the whole world also
@@ -288,13 +333,11 @@ impl World {
     /// The world of `part` (`None`: the whole of `layout`), every node
     /// running `cfg`. Per-node streams depend on `seed` and the node id
     /// alone.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         layout: &HierarchyLayout,
         cfg: &ProtocolConfig,
         net: NetworkModel,
         seed: u64,
-        queue: QueueKind,
         indexer: Arc<NodeIndexer>,
         classes: Arc<LinkClassMatrix>,
         part: Option<Part>,
@@ -318,7 +361,7 @@ impl World {
             crashed_ids: BTreeSet::new(),
             delivered: vec![Vec::new(); ids.len()],
             delivered_cap: usize::MAX,
-            events: EventQueue::new(queue),
+            events: EventQueue::default(),
             outbox: vec![Vec::new(); part.as_ref().map_or(0, |p| p.map.shards)],
             ext_rng: SplitMix64::stream(seed, EXT_STREAM_SALT),
             ext_emit: 0,
@@ -392,7 +435,7 @@ impl World {
     /// drained from its mailbox).
     pub fn enqueue(&mut self, now: u64, event: Event) {
         debug_assert!(event.at >= now, "event arrived after its window");
-        self.events.push(now, event.at, event.key, event.kind);
+        self.events.push(event);
     }
 
     /// Approximate resident memory of this world's per-node state: the
@@ -473,7 +516,7 @@ impl Run<'_> {
     /// per-pair lookahead processes nothing and leaves the clock alone).
     pub fn run_until(&mut self, horizon: u64) -> u64 {
         let mut processed = 0;
-        while self.world.events.peek_at(*self.now).is_some_and(|at| at <= horizon) {
+        while self.world.events.peek_at().is_some_and(|at| at <= horizon) {
             self.step();
             processed += 1;
         }
@@ -484,7 +527,7 @@ impl Run<'_> {
     /// Pop and dispatch the next event. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
-        let Some(Event { at, kind, .. }) = self.world.events.pop(*self.now) else { return false };
+        let Some(Event { at, kind, .. }) = self.world.events.pop() else { return false };
         *self.now = (*self.now).max(at);
         let now = *self.now;
         match kind {
@@ -625,10 +668,11 @@ impl Substrate for Run<'_> {
             self.metrics.reordered += 1;
         }
         let mut queue = |latency: u64, key: EventKey, frame: Bytes| {
-            let (at, kind) = (now.saturating_add(latency), EventKind::Deliver { from, to, frame });
+            let kind = EventKind::Deliver { from, to, frame };
+            let event = Event { at: now.saturating_add(latency), key, kind };
             match away {
-                Some(shard) => world.outbox[shard].push(Event { at, key, kind }),
-                None => world.events.push(now, at, key, kind),
+                Some(shard) => world.outbox[shard].push(event),
+                None => world.events.push(event),
             }
         };
         if let Some(dup_latency) = plan.dup_latency {
@@ -643,12 +687,11 @@ impl Substrate for Run<'_> {
     fn arm_timer(&mut self, node: NodeId, kind: TimerKind, after: u64) {
         let Some((g, slot)) = self.world.held(node) else { return };
         let (gen, seq) = self.world.slots[slot].arm_timer(kind);
-        self.world.events.push(
-            *self.now,
-            self.now.saturating_add(after),
-            EventKey::emitted(g.0, seq),
-            EventKind::Timer { node: NodeIdx(slot as u32), kind, gen },
-        );
+        self.world.events.push(Event {
+            at: self.now.saturating_add(after),
+            key: EventKey::emitted(g.0, seq),
+            kind: EventKind::Timer { node: NodeIdx(slot as u32), kind, gen },
+        });
     }
 
     fn cancel_timer(&mut self, node: NodeId, kind: TimerKind) {

@@ -1,25 +1,22 @@
-//! Engine-determinism differential tests for the hot-path overhaul.
+//! Engine-determinism tests: across a multi-seed loop of scenarios that
+//! include same-tick event collisions, message loss and Poisson churn,
+//! **identical seeds ⇒ identical runs** — re-running a scenario yields a
+//! byte-identical step trace — and different seeds do not.
 //!
-//! Two guarantees are asserted here, across a multi-seed loop of
-//! scenarios that include same-tick event collisions, message loss and
-//! Poisson churn:
-//!
-//! 1. **identical seeds ⇒ identical runs** — re-running a scenario yields
-//!    a byte-identical step trace;
-//! 2. **the timer-wheel queue preserves the reference ordering** — the
-//!    default [`QueueKind::TimerWheel`] engine and the pure
-//!    [`QueueKind::BinaryHeap`] reference engine produce byte-identical
-//!    `(now, sent_total, proposal_hops)` traces, event for event, even
-//!    when many events share one tick.
+//! That the timer wheel reproduces the pure-heap reference ordering is
+//! asserted on the same scenarios (`common/determinism.rs`) inside the
+//! crate, where the test-only reference queue lives (`src/queue.rs`).
 
 use rgb_core::prelude::*;
 use rgb_sim::workload::ChurnParams;
-use rgb_sim::{NetConfig, QueueKind, Scenario};
+use rgb_sim::{NetConfig, Scenario};
+
+include!("common/determinism.rs");
 
 /// Step a scenario to quiescence-or-deadline, recording the full
 /// `(now, sent_total, proposal_hops)` trace after every event.
-fn trace(scenario: &Scenario, queue: QueueKind) -> Vec<(u64, u64, u64)> {
-    let mut sim = scenario.build_sim_with_queue(queue);
+fn trace(scenario: &Scenario) -> Vec<(u64, u64, u64)> {
+    let mut sim = scenario.build_sim();
     let mut out = Vec::new();
     while sim.peek_at().is_some_and(|at| at <= scenario.duration) {
         sim.step();
@@ -28,81 +25,14 @@ fn trace(scenario: &Scenario, queue: QueueKind) -> Vec<(u64, u64, u64)> {
     out
 }
 
-/// The scenario matrix: same-tick collisions (instant + unit latency),
-/// loss, churn, loss + churn, and crashes.
-fn scenarios(seed: u64) -> Vec<Scenario> {
-    let mut lossy = NetConfig::unit();
-    lossy.loss = 0.05;
-    lossy.wireless_loss = 0.02;
-    let mut live = ProtocolConfig::live();
-    live.token_interval = 10;
-    live.token_retransmit_timeout = 30;
-    live.heartbeat_interval = 100;
-    live.token_lost_timeout = 400;
-
-    let mut out = Vec::new();
-
-    // Same-tick stress: zero latency puts every cascade on one tick.
-    let sc = Scenario::new("instant joins", 2, 3).with_net(NetConfig::instant()).with_seed(seed);
-    let aps = sc.layout().aps();
-    let mut sc = sc;
-    for (i, &ap) in aps.iter().enumerate() {
-        sc = sc.join((i % 3) as u64, ap, Guid(i as u64), Luid(1));
-    }
-    out.push(sc.with_duration(5_000));
-
-    // Loss + continuous tokens: retransmit/suspicion timers re-arm
-    // constantly, exercising the stale-entry path.
-    let sc = Scenario::new("lossy tokens", 1, 4)
-        .with_cfg(live.clone())
-        .with_net(lossy.clone())
-        .with_seed(seed)
-        .with_duration(6_000);
-    let ap = sc.layout().aps()[1];
-    out.push(sc.join(0, ap, Guid(1), Luid(1)));
-
-    // Churn + loss + a crash: the full fault surface.
-    let sc = Scenario::new("churn under loss", 2, 3)
-        .with_cfg(live)
-        .with_net(lossy)
-        .with_seed(seed)
-        .with_duration(8_000)
-        .with_churn(ChurnParams {
-            initial_members: 12,
-            mean_join_interval: 300.0,
-            mean_lifetime: 2_000.0,
-            failure_fraction: 0.3,
-            duration: 8_000,
-        });
-    let victim = sc.layout().aps()[2];
-    out.push(sc.crash(4_000, victim));
-
-    out
-}
-
 #[test]
 fn identical_seeds_identical_traces_across_scenarios() {
     for seed in [1u64, 7, 23, 0xDEAD_BEEF] {
         for scenario in scenarios(seed) {
-            let a = trace(&scenario, QueueKind::TimerWheel);
-            let b = trace(&scenario, QueueKind::TimerWheel);
+            let a = trace(&scenario);
+            let b = trace(&scenario);
             assert_eq!(a, b, "seed {seed}, scenario '{}' not reproducible", scenario.name);
             assert!(!a.is_empty(), "scenario '{}' processed no events", scenario.name);
-        }
-    }
-}
-
-#[test]
-fn timer_wheel_matches_reference_heap_ordering() {
-    for seed in [1u64, 7, 23, 0xDEAD_BEEF] {
-        for scenario in scenarios(seed) {
-            let wheel = trace(&scenario, QueueKind::TimerWheel);
-            let heap = trace(&scenario, QueueKind::BinaryHeap);
-            assert_eq!(
-                wheel, heap,
-                "seed {seed}, scenario '{}': wheel and reference heap diverged",
-                scenario.name
-            );
         }
     }
 }
@@ -111,23 +41,7 @@ fn timer_wheel_matches_reference_heap_ordering() {
 fn different_seeds_diverge() {
     // Sanity: the trace is actually seed-sensitive (the determinism
     // assertions above would pass vacuously on a constant function).
-    let a = trace(&scenarios(1)[2], QueueKind::TimerWheel);
-    let b = trace(&scenarios(2)[2], QueueKind::TimerWheel);
+    let a = trace(&scenarios(1)[2]);
+    let b = trace(&scenarios(2)[2]);
     assert_ne!(a, b);
-}
-
-#[test]
-fn outcomes_agree_between_queue_kinds() {
-    // Beyond counters: the final membership views are identical too.
-    for seed in [3u64, 11] {
-        for scenario in scenarios(seed) {
-            let mut wheel = scenario.build_sim_with_queue(QueueKind::TimerWheel);
-            wheel.run_until(scenario.duration);
-            let mut heap = scenario.build_sim_with_queue(QueueKind::BinaryHeap);
-            heap.run_until(scenario.duration);
-            let a = rgb_sim::ScenarioOutcome::from_sim(&wheel);
-            let b = rgb_sim::ScenarioOutcome::from_sim(&heap);
-            assert_eq!(a, b, "seed {seed}, scenario '{}'", scenario.name);
-        }
-    }
 }

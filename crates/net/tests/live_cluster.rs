@@ -132,6 +132,20 @@ fn live_crash_is_repaired_and_protocol_continues() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(repaired, "ring never repaired after crash");
+    // The predecessor's exhausted retransmissions opened a repair interval
+    // that its exclusion of the victim closed, before any survivor could
+    // show the shorter roster.
+    let repairs = cluster.level_latency().get(0).map_or(0, |l| l.repair.len());
+    assert!(repairs >= 1, "the repair left no sample at level 0");
+    // A query at a survivor closes exactly one query interval.
+    let queries = |c: &Cluster| c.level_latency().iter().map(|(_, l)| l.query.len()).sum::<u64>();
+    let before = queries(&cluster);
+    cluster.query(nodes[0], QueryScope::Global);
+    let answered = cluster.wait_event(Duration::from_secs(10), |node, ev| {
+        matches!(ev, AppEvent::QueryResult { .. } if node == nodes[0]).then_some(())
+    });
+    assert!(answered.is_some(), "query at a survivor never answered");
+    assert_eq!(queries(&cluster), before + 1, "one query, one sample");
     // The repaired ring still agrees on new members.
     cluster.mh_event(nodes[0], MhEvent::Join { guid: Guid(5), luid: Luid(1) });
     assert!(

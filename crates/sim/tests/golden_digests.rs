@@ -2,14 +2,65 @@
 //! committed constants on Seq and Par(3) (see `common`). A constant here
 //! changes only with a change that means to alter protocol or engine
 //! behaviour, and that change says so.
+//!
+//! Two presets also pin their obs surface: the flight-recorder stream and
+//! the per-level latency histograms. `obs_trace_equivalence` compares the
+//! two engines with each other, so a tracking change both make alike passes
+//! it; it does not pass these.
 
 mod common;
 
-use common::{assert_golden, Golden};
+use common::{assert_golden, Fnv1a, Golden};
+use rgb_core::obs::{FlightRecorder, LevelHistograms, ObsRecord, TraceSink};
 use rgb_sim::presets;
+use std::fmt::Write;
 
 fn assert_preset(name: &str, want: Golden) {
     assert_golden(&presets::by_name(name, 1).expect("registered preset"), &want);
+}
+
+/// Holds every record either engine emits for the pinned presets; a drop
+/// would make the pin depend on eviction order, so none is allowed.
+const TRACE_CAP: usize = 1 << 16;
+
+/// [`Fnv1a`] over the sorted trace records, then the `Debug` rendering of
+/// the per-level latency surfaces.
+fn obs_fingerprint(mut records: Vec<ObsRecord>, levels: &LevelHistograms) -> u64 {
+    records.sort_unstable();
+    let mut hash = Fnv1a::new();
+    for rec in &records {
+        write!(hash, "{rec:?}").expect("hashing cannot fail");
+    }
+    write!(hash, "{levels:?}").expect("hashing cannot fail");
+    hash.0
+}
+
+/// Assert preset `name` at seed 1, run whole with flight recorders on,
+/// reproduces the obs fingerprint `want` on Seq and on Par(3).
+fn assert_obs_pinned(name: &str, want: u64) {
+    let sc = presets::by_name(name, 1).expect("registered preset");
+    let mut seq = sc.try_build_sim().expect("preset validates");
+    seq.enable_obs(Box::new(FlightRecorder::new(TRACE_CAP)));
+    seq.run_until(sc.duration);
+    assert_eq!(seq.trace_dropped(), 0, "'{name}': Seq recorder evicted");
+    assert!(!seq.metrics.levels.is_empty(), "'{name}': no latency sample to pin");
+    assert_eq!(obs_fingerprint(seq.trace_snapshot(), &seq.metrics.levels), want, "'{name}' Seq");
+
+    let mut par = sc.try_build_par(3).expect("preset validates");
+    par.enable_obs(|_| Box::new(FlightRecorder::new(TRACE_CAP)) as Box<dyn TraceSink>);
+    par.run_until(sc.duration);
+    assert_eq!(par.trace_dropped(), 0, "'{name}': Par(3) recorders evicted");
+    assert_eq!(obs_fingerprint(par.trace_snapshot(), &par.level_latency()), want, "'{name}' Par");
+}
+
+#[test]
+fn diurnal_load_curve_obs_is_pinned() {
+    assert_obs_pinned("diurnal_load_curve", 4535338490513515006);
+}
+
+#[test]
+fn rolling_upgrade_churn_obs_is_pinned() {
+    assert_obs_pinned("rolling_upgrade_churn", 17861368587606677939);
 }
 
 #[test]

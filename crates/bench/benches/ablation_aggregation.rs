@@ -1,44 +1,11 @@
 //! Ablation bench for design decision D1: the self-aggregating message
-//! queue. A bursty workload (every member joins, half immediately leave,
-//! some bounce between proxies) is driven through a hierarchy with
-//! aggregation on and off. Because one token round carries any number of
-//! queued records, aggregation does not change the *message count* — its
-//! payoff is fewer operations executed per node (cancelled pairs never
-//! ride a token at all) and smaller token payloads, which is what this
-//! bench measures and asserts.
+//! queue, timed with aggregation on and off on [`rgb_bench::bursty`]'s
+//! workload. What aggregation must buy — fewer ops executed, never more
+//! traffic — is asserted in `tests/ablations.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rgb_core::prelude::*;
-use rgb_core::testing::Loopback;
+use rgb_bench::bursty;
 use std::hint::black_box;
-
-/// Returns (total messages, ops executed across all nodes, records
-/// aggregated away).
-fn bursty(aggregate: bool) -> (u64, u64, u64) {
-    let cfg = ProtocolConfig { aggregate_mq: aggregate, ..ProtocolConfig::default() };
-    let layout = HierarchySpec::new(2, 5).build(GroupId(1)).unwrap();
-    let mut net = Loopback::from_layout(&layout, &cfg);
-    net.boot_all();
-    let aps = layout.aps();
-    for i in 0..50u64 {
-        let ap = aps[(i % aps.len() as u64) as usize];
-        net.inject(ap, Input::Mh(MhEvent::Join { guid: Guid(i), luid: Luid(1) }));
-        if i % 2 == 0 {
-            net.inject(ap, Input::Mh(MhEvent::Leave { guid: Guid(i) }));
-        }
-        if i % 7 == 0 {
-            let to = aps[((i + 1) % aps.len() as u64) as usize];
-            net.inject(
-                to,
-                Input::Mh(MhEvent::HandoffIn { guid: Guid(i + 1), luid: Luid(9), from: Some(ap) }),
-            );
-        }
-    }
-    assert!(net.run_until_quiet(100_000_000));
-    let ops: u64 = net.nodes.values().map(|n| n.stats.ops_executed).sum();
-    let merged: u64 = net.nodes.values().map(|n| n.mq.total_aggregated_away()).sum();
-    (net.sent_total, ops, merged)
-}
 
 fn bench_aggregation(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_aggregation");
@@ -51,16 +18,6 @@ fn bench_aggregation(c: &mut Criterion) {
         );
     }
     group.finish();
-    // Correctness side-channel: aggregation must reduce executed work.
-    let (msgs_on, ops_on, merged_on) = bursty(true);
-    let (msgs_off, ops_off, merged_off) = bursty(false);
-    assert!(merged_on > 0, "aggregation never fired on the bursty workload");
-    assert_eq!(merged_off, 0, "raw queue must not aggregate");
-    assert!(
-        ops_on < ops_off,
-        "aggregation on ({ops_on} ops) must execute fewer ops than off ({ops_off})"
-    );
-    assert!(msgs_on <= msgs_off, "aggregation must never increase traffic");
 }
 
 criterion_group!(benches, bench_aggregation);

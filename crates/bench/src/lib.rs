@@ -176,6 +176,64 @@ pub fn measure_shape_latency(h: usize, r: usize, seed: u64) -> ChangeCost {
     measure_change(h, r, NetConfig::default(), seed)
 }
 
+/// Ablation D1, the self-aggregating message queue: a bursty workload
+/// (every member joins, half immediately leave, some bounce between
+/// proxies) on an h=2 r=5 hierarchy with aggregation on or off. Returns
+/// (total messages, ops executed across all nodes, records aggregated
+/// away). One token round carries any number of queued records, so
+/// aggregation does not change the message count; its payoff is fewer ops
+/// executed (cancelled pairs never ride a token) and smaller tokens.
+pub fn bursty(aggregate: bool) -> (u64, u64, u64) {
+    let cfg = ProtocolConfig { aggregate_mq: aggregate, ..ProtocolConfig::default() };
+    let layout = HierarchySpec::new(2, 5).build(GroupId(1)).unwrap();
+    let mut net = Loopback::from_layout(&layout, &cfg);
+    net.boot_all();
+    let aps = layout.aps();
+    for i in 0..50u64 {
+        let ap = aps[(i % aps.len() as u64) as usize];
+        net.inject(ap, Input::Mh(MhEvent::Join { guid: Guid(i), luid: Luid(1) }));
+        if i % 2 == 0 {
+            net.inject(ap, Input::Mh(MhEvent::Leave { guid: Guid(i) }));
+        }
+        if i % 7 == 0 {
+            let to = aps[((i + 1) % aps.len() as u64) as usize];
+            net.inject(
+                to,
+                Input::Mh(MhEvent::HandoffIn { guid: Guid(i + 1), luid: Luid(9), from: Some(ap) }),
+            );
+        }
+    }
+    assert!(net.run_until_quiet(100_000_000));
+    let ops: u64 = net.nodes.values().map(|n| n.stats.ops_executed).sum();
+    let merged: u64 = net.nodes.values().map(|n| n.mq.total_aggregated_away()).sum();
+    (net.sent_total, ops, merged)
+}
+
+/// Ablation D2, holder rotation (Figure 3 lines 21–23) against a static
+/// token owner under the continuous policy: 40 members join across one
+/// ring of eight proxies. Returns (total messages, the fewest operational
+/// members any node holds plus the leader's rounds started).
+pub fn churn_run(rotate: bool) -> (u64, u64) {
+    let mut cfg = ProtocolConfig::live();
+    cfg.rotate_holder = rotate;
+    cfg.token_interval = 10;
+    cfg.heartbeat_interval = 1_000_000;
+    cfg.token_lost_timeout = 1_000_000;
+    let layout = HierarchySpec::new(1, 8).build(GroupId(1)).unwrap();
+    let mut net = Loopback::from_layout(&layout, &cfg);
+    net.boot_all();
+    let aps = layout.aps();
+    for i in 0..40u64 {
+        let ap = aps[(i % 8) as usize];
+        net.inject(ap, Input::Mh(MhEvent::Join { guid: Guid(i), luid: Luid(1) }));
+    }
+    net.run_until(5_000);
+    let leader = layout.root_ring().nodes.iter().copied().min().unwrap();
+    let agreed =
+        net.nodes.values().map(|n| n.ring_members.operational_count() as u64).min().unwrap_or(0);
+    (net.sent_total, agreed + net.node(leader).stats.rounds_started)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -15,8 +15,15 @@
 //! Tracing is opt-in per engine: the [`NullSink`] default reports
 //! `enabled() == false`, and engines gate every emission on that flag, so
 //! disabled runs keep their current throughput.
+//!
+//! Every engine's repair and query samples come from one per-node tracker,
+//! [`NodeLatency`]: two repair anchors (ring suspicion → `RingRepaired`,
+//! `ParentTimeout` → `Reattached`) and a query anchor, where the first
+//! trigger wins and ring progress clears a ring suspicion.
 
+use crate::events::{AppEvent, Input, TimerKind};
 use crate::ids::{NodeId, RingId};
+use crate::message::Msg;
 use std::collections::BTreeMap;
 
 /// A latency histogram over exact integer values (ticks).
@@ -54,12 +61,6 @@ impl Histogram {
     /// Number of samples recorded.
     pub fn len(&self) -> u64 {
         self.count
-    }
-
-    /// Number of samples recorded, as a `usize` (legacy accessor shape
-    /// from the pre-bucketed sim histogram).
-    pub fn count(&self) -> usize {
-        self.count as usize
     }
 
     /// Whether no samples have been recorded.
@@ -132,9 +133,8 @@ pub struct LevelLatency {
     /// First wire sighting of a change record in a ring → that ring's
     /// `Agreed` delivery (paper: agreement latency per level).
     pub join: Histogram,
-    /// Fault suspicion (first `TokenLost` / `TokenRetransmit` /
-    /// `ParentTimeout` timer firing, ring-progress-cleared) → the
-    /// corresponding `RingRepaired` / `Reattached` delivery.
+    /// Fault suspicion → the `RingRepaired` / `Reattached` delivery that
+    /// resolves it, as [`NodeLatency`] anchors and closes it.
     pub repair: Histogram,
     /// `StartQuery` issue → `QueryResult` delivery at the issuing node.
     pub query: Histogram,
@@ -213,6 +213,98 @@ impl LevelHistograms {
             pooled.merge(&lvl.repair);
         }
         pooled.quantile(q)
+    }
+}
+
+/// "No interval open" in a [`NodeLatency`] anchor.
+const NO_ANCHOR: u64 = u64::MAX;
+
+/// One node's open latency intervals: the repair, reattach and query
+/// tracker every engine runs. The engine calls [`NodeLatency::on_input`]
+/// with each input as it reaches `NodeState::handle_into`, and
+/// [`NodeLatency::on_app`] with each application event the node delivers,
+/// which hands back the interval it closed for the engine to file.
+///
+/// - **Two repair anchors**, one per §5.2 detection path. A `TokenLost` or
+///   `TokenRetransmit` firing (a ring suspicion) opens the ring anchor,
+///   which `RingRepaired` closes; a `ParentTimeout` firing opens the
+///   reattach anchor, which `Reattached` closes. Both feed
+///   [`LevelLatency::repair`].
+/// - **First trigger wins**: a trigger while its anchor is open leaves it,
+///   so a sample runs from detection, not from the last retry.
+/// - **Progress clears a ring suspicion**: a `Token` or `TokenAck` arriving
+///   drops the ring anchor without a sample, because most retransmissions
+///   succeed. Only `Reattached` ends a reattach interval.
+/// - `StartQuery` sets the query anchor; `QueryResult` closes it into
+///   [`LevelLatency::query`].
+///
+/// A completion closes only its own anchor, and yields nothing when that
+/// anchor is not open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeLatency {
+    ring_repair: u64,
+    reattach: u64,
+    query: u64,
+}
+
+impl Default for NodeLatency {
+    fn default() -> Self {
+        NodeLatency { ring_repair: NO_ANCHOR, reattach: NO_ANCHOR, query: NO_ANCHOR }
+    }
+}
+
+impl NodeLatency {
+    /// `input` reaches the node at tick `now`.
+    #[inline]
+    pub fn on_input(&mut self, now: u64, input: &Input) {
+        match input {
+            Input::Timer(TimerKind::TokenLost | TimerKind::TokenRetransmit { .. })
+                if self.ring_repair == NO_ANCHOR =>
+            {
+                self.ring_repair = now;
+            }
+            Input::Timer(TimerKind::ParentTimeout) if self.reattach == NO_ANCHOR => {
+                self.reattach = now;
+            }
+            Input::Msg { msg: Msg::Token(_) | Msg::TokenAck { .. }, .. } => {
+                self.ring_repair = NO_ANCHOR;
+            }
+            Input::StartQuery { .. } => self.query = now,
+            _ => {}
+        }
+    }
+
+    /// The node delivers `event` at tick `now`: the interval it closes, if
+    /// one was open.
+    pub fn on_app(&mut self, now: u64, event: &AppEvent) -> Option<LatencySample> {
+        let (anchor, sample): (_, fn(u64) -> LatencySample) = match event {
+            AppEvent::RingRepaired { .. } => (&mut self.ring_repair, LatencySample::Repair),
+            AppEvent::Reattached { .. } => (&mut self.reattach, LatencySample::Repair),
+            AppEvent::QueryResult { .. } => (&mut self.query, LatencySample::Query),
+            _ => return None,
+        };
+        let t0 = std::mem::replace(anchor, NO_ANCHOR);
+        (t0 != NO_ANCHOR).then(|| sample(now.saturating_sub(t0)))
+    }
+}
+
+/// An interval [`NodeLatency::on_app`] closed, in ticks, tagged with the
+/// surface of [`LevelLatency`] it belongs to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LatencySample {
+    /// Suspicion → `RingRepaired`, or `ParentTimeout` → `Reattached`.
+    Repair(u64),
+    /// `StartQuery` → `QueryResult`.
+    Query(u64),
+}
+
+impl LatencySample {
+    /// Record the sample in its surface of `level`.
+    pub fn record(self, level: &mut LevelLatency) {
+        match self {
+            LatencySample::Repair(dt) => level.repair.record(dt),
+            LatencySample::Query(dt) => level.query.record(dt),
+        }
     }
 }
 
@@ -389,6 +481,9 @@ impl TraceSink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::GroupId;
+    use crate::member::MemberList;
+    use crate::message::{QueryId, QueryScope};
 
     #[test]
     fn quantile_is_nearest_rank_and_reads_are_shared() {
@@ -445,6 +540,99 @@ mod tests {
         assert_eq!(a.get(2).unwrap().repair.len(), 2);
         assert_eq!(a.repair_quantile(1.0), Some(300));
         assert_eq!(LevelHistograms::new().repair_quantile(0.5), None);
+    }
+
+    const LOST: Input = Input::Timer(TimerKind::TokenLost);
+    const RETRANSMIT: Input = Input::Timer(TimerKind::TokenRetransmit { seq: 3 });
+    const PARENT_TIMEOUT: Input = Input::Timer(TimerKind::ParentTimeout);
+    const ASK: Input = Input::StartQuery { scope: QueryScope::Global };
+    const ACK: Input =
+        Input::Msg { from: NodeId(1), msg: Msg::TokenAck { ring: RingId(0), seq: 3 } };
+    const REPAIRED: AppEvent = AppEvent::RingRepaired { ring: RingId(0), excluded: NodeId(9) };
+    const REATTACHED: AppEvent = AppEvent::Reattached { parent: NodeId(4) };
+    use LatencySample::{Query, Repair};
+
+    fn token() -> Input {
+        let token = crate::token::Token::fresh(GroupId(1), RingId(0), 3, NodeId(1), Vec::new());
+        Input::Msg { from: NodeId(1), msg: Msg::Token(token) }
+    }
+
+    fn answer() -> AppEvent {
+        let qid = QueryId { origin: NodeId(2), seq: 0 };
+        AppEvent::QueryResult { qid, members: MemberList::new(), responses: 1 }
+    }
+
+    #[test]
+    fn repair_interval_closes_into_the_node_level_surface() {
+        let mut node = NodeLatency::default();
+        node.on_input(100, &LOST);
+        let sample = node.on_app(140, &REPAIRED).expect("open interval closes");
+        let mut levels = LevelHistograms::new();
+        sample.record(levels.level_mut(2));
+        let level = levels.get(2).expect("level touched");
+        assert_eq!((level.repair.len(), level.repair.max()), (1, Some(40)));
+        assert!(level.query.is_empty() && level.join.is_empty());
+    }
+
+    #[test]
+    fn ring_progress_clears_a_suspicion_without_a_sample() {
+        for progress in [token(), ACK] {
+            let mut node = NodeLatency::default();
+            node.on_input(10, &RETRANSMIT);
+            node.on_input(20, &progress);
+            assert_eq!(node.on_app(30, &REPAIRED), None);
+        }
+    }
+
+    #[test]
+    fn the_first_ring_trigger_wins() {
+        let mut node = NodeLatency::default();
+        for (now, trigger) in [(10, LOST), (50, LOST), (60, RETRANSMIT)] {
+            node.on_input(now, &trigger);
+        }
+        assert_eq!(node.on_app(70, &REPAIRED), Some(Repair(60)));
+    }
+
+    #[test]
+    fn a_token_does_not_clear_a_parent_timeout() {
+        let mut node = NodeLatency::default();
+        for (now, input) in [(10, PARENT_TIMEOUT), (20, token()), (25, PARENT_TIMEOUT)] {
+            node.on_input(now, &input);
+        }
+        assert_eq!(node.on_app(40, &REATTACHED), Some(Repair(30)));
+    }
+
+    #[test]
+    fn each_completion_closes_only_its_own_anchor() {
+        let mut node = NodeLatency::default();
+        for (now, input) in [(5, LOST), (10, PARENT_TIMEOUT), (12, ASK)] {
+            node.on_input(now, &input);
+        }
+        assert_eq!(node.on_app(40, &REATTACHED), Some(Repair(30)));
+        assert_eq!(node.on_app(41, &REATTACHED), None);
+        assert_eq!(node.on_app(50, &REPAIRED), Some(Repair(45)));
+        assert_eq!(node.on_app(52, &answer()), Some(Query(40)));
+    }
+
+    #[test]
+    fn a_query_result_with_no_start_records_nothing() {
+        let mut node = NodeLatency::default();
+        assert_eq!(node.on_app(10, &answer()), None);
+        node.on_input(20, &ASK);
+        assert_eq!(node.on_app(27, &answer()), Some(Query(7)));
+        assert_eq!(node.on_app(30, &answer()), None);
+    }
+
+    #[test]
+    fn a_second_ring_repaired_with_no_open_anchor_records_nothing() {
+        let mut node = NodeLatency::default();
+        node.on_input(100, &RETRANSMIT);
+        assert_eq!(node.on_app(140, &REPAIRED), Some(Repair(40)));
+        assert_eq!(node.on_app(150, &REPAIRED), None);
+        // Other timers and deliveries neither open nor close anything.
+        node.on_input(160, &Input::Timer(TimerKind::Heartbeat));
+        assert_eq!(node.on_app(170, &AppEvent::ParentLost { ring: RingId(0) }), None);
+        assert_eq!(node, NodeLatency::default());
     }
 
     #[test]

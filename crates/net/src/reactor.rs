@@ -38,9 +38,9 @@ use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TrySendError};
 use rgb_core::events::{AppEvent, Input, TimerKind};
 use rgb_core::introspect::StateDigest;
 use rgb_core::member::MemberList;
-use rgb_core::message::{Msg, MsgLabel};
+use rgb_core::message::MsgLabel;
 use rgb_core::node::NodeState;
-use rgb_core::obs::LevelHistograms;
+use rgb_core::obs::{LevelHistograms, NodeLatency};
 use rgb_core::prelude::{GroupId, NodeId};
 use rgb_core::substrate::{apply_outputs, FramePool, OutputSink, Substrate, TimerSet};
 use rgb_core::topology::NodeIndexer;
@@ -222,10 +222,10 @@ pub(crate) struct ReactorShared {
     pub app_events: AtomicU64,
     pub app_events_dropped: AtomicU64,
     pub codec_rejected: AtomicU64,
-    /// Per-ring-level latency surfaces (repair and query; join anchoring
-    /// needs deterministic wire sightings and stays simulator-only).
-    /// Workers take this lock only on the rare completion events, never
-    /// per frame.
+    /// Per-ring-level latency surfaces: the repair and query samples each
+    /// node's [`NodeLatency`] closes (join anchoring needs deterministic
+    /// wire sightings and stays simulator-only). Workers take this lock
+    /// only on the rare completion events, never per frame.
     pub latency: Mutex<LevelHistograms>,
 }
 
@@ -236,8 +236,6 @@ const MAX_PARK: Duration = Duration::from_millis(50);
 /// from its mailbox, before re-checking timers, so neither a flooded
 /// mailbox nor a ring whose token never rests can starve timer fairness.
 const DRAIN_BATCH: usize = 256;
-/// Sentinel for "no latency interval open" in [`MuxNode`]'s anchors.
-const NO_ANCHOR: u64 = u64::MAX;
 
 /// Wall time in protocol ticks since a start instant, in `u64` nanoseconds
 /// (584 years of them): reading the tick is one clock read and one 64-bit
@@ -331,8 +329,8 @@ impl WheelEntry for TimerEntry {
 }
 
 /// One multiplexed node as a worker holds it: protocol state, the live
-/// generation of each armed timer kind, and the per-node outbound-drop
-/// counter surfaced in [`NodeSnapshot`].
+/// generation of each armed timer kind, the per-node outbound-drop counter
+/// surfaced in [`NodeSnapshot`], and its open latency intervals.
 struct MuxNode {
     state: NodeState,
     /// Live timers: per kind, the generation that is allowed to fire.
@@ -341,17 +339,7 @@ struct MuxNode {
     timers: TimerSet,
     next_gen: u64,
     dropped_frames: u64,
-    /// Tick a ring-repair suspicion (`TokenLost` / `TokenRetransmit`)
-    /// fired, until `RingRepaired` closes the interval into
-    /// [`ReactorShared::latency`] or ring progress (a token or ack
-    /// arriving) clears it; [`NO_ANCHOR`] when none is open.
-    ring_repair_started: u64,
-    /// Tick a `ParentTimeout` fired, until the matching `Reattached`
-    /// closes the interval; [`NO_ANCHOR`] when none is open.
-    reattach_started: u64,
-    /// Tick the last `StartQuery` was injected; [`NO_ANCHOR`] when no
-    /// query is in flight.
-    query_started: u64,
+    latency: NodeLatency,
 }
 
 /// The reactor-worker implementation of the substrate layer: wall-tick
@@ -362,12 +350,8 @@ struct ReactorSubstrate<'a> {
     events: &'a Sender<(NodeId, AppEvent)>,
     shared: &'a ReactorShared,
     wheel: &'a mut Wheel<TimerEntry>,
-    timers: &'a mut TimerSet,
-    next_gen: &'a mut u64,
-    dropped_frames: &'a mut u64,
-    ring_repair_started: &'a mut u64,
-    reattach_started: &'a mut u64,
-    query_started: &'a mut u64,
+    /// The hosted node the outputs came from.
+    node: &'a mut MuxNode,
     frames: &'a mut FramePool,
     /// The sending worker's hosted nodes and its run queue: a frame for one
     /// of them is queued here instead of in the worker's own mailbox.
@@ -375,8 +359,6 @@ struct ReactorSubstrate<'a> {
     local: &'a mut VecDeque<LocalFrame>,
     mailbox_capacity: usize,
     sent: &'a mut FrameTally,
-    /// The hosted node's ring level (latency surface index).
-    level: u8,
     /// The hosted node's local index (what its wheel entries carry).
     slot: u32,
     now: u64,
@@ -408,49 +390,26 @@ impl Substrate for ReactorSubstrate<'_> {
         };
         match outcome {
             SendOutcome::Delivered | SendOutcome::PartitionDropped => {}
-            SendOutcome::Unroutable | SendOutcome::Backpressure => *self.dropped_frames += 1,
+            SendOutcome::Unroutable | SendOutcome::Backpressure => self.node.dropped_frames += 1,
         }
     }
 
     fn arm_timer(&mut self, _node: NodeId, kind: TimerKind, after: u64) {
-        *self.next_gen += 1;
-        let gen = *self.next_gen;
-        self.timers.arm(kind, gen);
+        self.node.next_gen += 1;
+        let gen = self.node.next_gen;
+        self.node.timers.arm(kind, gen);
         let at = self.now.saturating_add(after);
         self.wheel.push(TimerEntry { at, slot: self.slot, gen, kind });
     }
 
     fn cancel_timer(&mut self, _node: NodeId, kind: TimerKind) {
-        self.timers.cancel(kind);
+        self.node.timers.cancel(kind);
     }
 
     fn deliver_app(&mut self, node: NodeId, event: AppEvent) {
-        match &event {
-            AppEvent::RingRepaired { .. } => {
-                let t0 = std::mem::replace(self.ring_repair_started, NO_ANCHOR);
-                if t0 != NO_ANCHOR {
-                    let dt = self.now.saturating_sub(t0);
-                    let mut latency = self.shared.latency.lock().unwrap_or_else(|e| e.into_inner());
-                    latency.level_mut(self.level).repair.record(dt);
-                }
-            }
-            AppEvent::Reattached { .. } => {
-                let t0 = std::mem::replace(self.reattach_started, NO_ANCHOR);
-                if t0 != NO_ANCHOR {
-                    let dt = self.now.saturating_sub(t0);
-                    let mut latency = self.shared.latency.lock().unwrap_or_else(|e| e.into_inner());
-                    latency.level_mut(self.level).repair.record(dt);
-                }
-            }
-            AppEvent::QueryResult { .. } => {
-                let t0 = std::mem::replace(self.query_started, NO_ANCHOR);
-                if t0 != NO_ANCHOR {
-                    let dt = self.now.saturating_sub(t0);
-                    let mut latency = self.shared.latency.lock().unwrap_or_else(|e| e.into_inner());
-                    latency.level_mut(self.level).query.record(dt);
-                }
-            }
-            _ => {}
+        if let Some(sample) = self.node.latency.on_app(self.now, &event) {
+            let mut latency = self.shared.latency.lock().unwrap_or_else(|e| e.into_inner());
+            sample.record(latency.level_mut(self.node.state.level as u8));
         }
         match self.events.try_send((node, event)) {
             Ok(()) => {
@@ -534,9 +493,7 @@ impl Worker {
                     timers: TimerSet::default(),
                     next_gen: 0,
                     dropped_frames: 0,
-                    ring_repair_started: NO_ANCHOR,
-                    reattach_started: NO_ANCHOR,
-                    query_started: NO_ANCHOR,
+                    latency: NodeLatency::default(),
                 })
             })
             .collect();
@@ -568,9 +525,10 @@ impl Worker {
         slot.routed.store(self.sent.routed, Ordering::Relaxed);
     }
 
-    /// Feed `input` to hosted node `i` and interpret the outputs. The
-    /// destructuring split lets the node's state, the wheel and the reused
-    /// output sink borrow simultaneously.
+    /// Feed `input` to hosted node `i` and interpret the outputs — the one
+    /// point where an input reaches a node, and so where its latency
+    /// tracker sees it. The destructuring split lets the node's state, the
+    /// wheel and the reused output sink borrow simultaneously.
     fn drive(&mut self, i: usize, input: Input) {
         let Worker {
             gid,
@@ -591,25 +549,19 @@ impl Worker {
         let Some(node) = nodes[i].as_mut() else { return };
         let id = node.state.id;
         let now = clock.now();
+        node.latency.on_input(now, &input);
         node.state.handle_into(input, outs);
-        let level = node.state.level as u8;
         let mut sub = ReactorSubstrate {
             router,
             events,
             shared,
             wheel,
-            timers: &mut node.timers,
-            next_gen: &mut node.next_gen,
-            dropped_frames: &mut node.dropped_frames,
-            ring_repair_started: &mut node.ring_repair_started,
-            reattach_started: &mut node.reattach_started,
-            query_started: &mut node.query_started,
+            node,
             frames,
             index,
             local,
             mailbox_capacity: *mailbox_capacity,
             sent,
-            level,
             slot: i as u32,
             now,
         };
@@ -635,16 +587,7 @@ impl Worker {
     /// queue — then keep its buffer.
     fn deliver(&mut self, from: NodeId, i: usize, frame: bytes::Bytes) {
         match wire::decode(&frame) {
-            Ok(env) if env.gid == self.gid => {
-                // The ring reached this node: any open retransmit/loss
-                // suspicion resolved without a repair.
-                if matches!(env.msg, Msg::Token(_) | Msg::TokenAck { .. }) {
-                    if let Some(n) = self.nodes[i].as_mut() {
-                        n.ring_repair_started = NO_ANCHOR;
-                    }
-                }
-                self.drive(i, Input::Msg { from, msg: env.msg });
-            }
+            Ok(env) if env.gid == self.gid => self.drive(i, Input::Msg { from, msg: env.msg }),
             _ => {
                 // Foreign group or corrupt frame: drop, counted.
                 self.shared.codec_rejected.fetch_add(1, Ordering::Relaxed);
@@ -667,10 +610,6 @@ impl Worker {
             }
             ToWorker::Query { node, scope } => {
                 if let Some(i) = self.index.get(node) {
-                    let now = self.clock.now();
-                    if let Some(n) = self.nodes[i].as_mut() {
-                        n.query_started = now;
-                    }
                     self.drive(i, Input::StartQuery { scope });
                 }
             }
@@ -698,21 +637,6 @@ impl Worker {
             let Some(n) = self.nodes[i].as_mut() else { continue };
             if !n.timers.fire(entry.gen) {
                 continue;
-            }
-            // A repair suspicion opens the latency interval the eventual
-            // RingRepaired / Reattached closes; the first trigger wins, and
-            // token progress clears a ring suspicion that resolved without
-            // repair.
-            match entry.kind {
-                TimerKind::TokenLost | TimerKind::TokenRetransmit { .. }
-                    if n.ring_repair_started == NO_ANCHOR =>
-                {
-                    n.ring_repair_started = now;
-                }
-                TimerKind::ParentTimeout if n.reattach_started == NO_ANCHOR => {
-                    n.reattach_started = now;
-                }
-                _ => {}
             }
             self.drive(i, Input::Timer(entry.kind));
         }
@@ -1072,7 +996,7 @@ mod tests {
         // A foreign group id is the same rejection, on the same helper.
         let foreign = wire::encode(&rgb_core::message::Envelope {
             gid: GroupId(w.gid.0 + 1),
-            msg: Msg::TokenAck { ring: rgb_core::prelude::RingId(0), seq: 0 },
+            msg: rgb_core::message::Msg::TokenAck { ring: rgb_core::prelude::RingId(0), seq: 0 },
         });
         w.local.push_back((a, 1, foreign));
         w.drain_local();

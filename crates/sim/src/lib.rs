@@ -48,7 +48,7 @@ pub use metrics::{Histogram, Metrics, MetricsSnapshot, ParStats, ShardLoad};
 pub use mobility::{MobilityModel, TimedEvent};
 pub use network::{LatencyBand, LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
 pub use obs::{obs_json, prometheus_text, shard_loads_json, ObsReport, Timeline, TimelineEntry};
-pub use oracle::{check_repair_complete, check_ring_consistency, function_well_report};
+pub use oracle::check_ring_consistency;
 pub use par::ParSimulation;
 pub use rng::SplitMix64;
 pub use scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};

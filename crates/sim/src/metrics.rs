@@ -305,7 +305,7 @@ mod tests {
         }
         // Reads go through &self now that the histogram is bucketed.
         let h = &h;
-        assert_eq!(h.count(), 5);
+        assert_eq!(h.len(), 5);
         assert_eq!(h.quantile(0.0), Some(1));
         assert_eq!(h.quantile(0.5), Some(5));
         assert_eq!(h.quantile(1.0), Some(9));
@@ -445,27 +445,24 @@ mod tests {
         assert_eq!(merged.par.flush_nanos, a.par.flush_nanos + b.par.flush_nanos);
         assert_eq!(merged.par.barrier_nanos, a.par.barrier_nanos + b.par.barrier_nanos);
         assert_eq!(merged.par.drain_nanos, a.par.drain_nanos + b.par.drain_nanos);
-        assert_eq!(
-            merged.change_latency.count(),
-            a.change_latency.count() + b.change_latency.count()
-        );
-        assert_eq!(merged.query_latency.count(), 4);
+        assert_eq!(merged.change_latency.len(), a.change_latency.len() + b.change_latency.len());
+        assert_eq!(merged.query_latency.len(), 4);
         let q = &merged.query_latency;
         assert_eq!(q.quantile(0.0), Some(131), "merged histogram holds both sample sets");
         assert_eq!(q.quantile(1.0), Some(1_037));
         assert_eq!(merged.levels.depth(), 3);
         assert_eq!(
-            merged.levels.get(1).unwrap().join.count(),
-            a.levels.get(1).unwrap().join.count() + b.levels.get(1).unwrap().join.count()
+            merged.levels.get(1).unwrap().join.len(),
+            a.levels.get(1).unwrap().join.len() + b.levels.get(1).unwrap().join.len()
         );
         assert_eq!(merged.levels.get(1).unwrap().repair.max(), Some(1_083));
-        assert_eq!(merged.levels.get(2).unwrap().query.count(), 2);
+        assert_eq!(merged.levels.get(2).unwrap().query.len(), 2);
         assert_eq!(merged.levels.repair_quantile(0.0), Some(183));
         // Merging an empty Metrics is the identity.
         let mut id = a.clone();
         id.merge(&Metrics::default());
         assert_eq!(id.sent_total, a.sent_total);
-        assert_eq!(id.query_latency.count(), a.query_latency.count());
+        assert_eq!(id.query_latency.len(), a.query_latency.len());
     }
 
     #[test]

@@ -1,111 +1,71 @@
-//! Engine-side observability: the per-engine tracking state that feeds
-//! [`rgb_core::obs`], the [`Timeline`] of periodic counter deltas, and the
-//! exporters (Prometheus text exposition and the `rgb-obs v1` JSON
-//! timeline).
+//! Engine-side observability: the per-engine trace and join-latency state
+//! that feeds [`rgb_core::obs`], the [`Timeline`] of periodic counter
+//! deltas, and the exporters (Prometheus text exposition and the `rgb-obs
+//! v1` JSON timeline).
 //!
 //! Both simulator engines — sequential ([`crate::sim::Simulation`]) and
 //! sharded-parallel ([`crate::par::ParSimulation`]) — embed one
 //! `EngineObs` per execution domain (the whole simulation, or one
-//! shard). Its hooks fire at the same per-node protocol points in both
-//! engines: timer firings, decoded message arrivals, application-event
-//! deliveries, fault-plan arms. Because rings are sharded wholesale and
-//! every anchor is ring- or node-local, the latency surfaces and trace
-//! records a parallel run produces merge to exactly the sequential run's
-//! — and none of the tracking touches node inputs, RNG streams or event
-//! keys, so `SystemDigest` streams stay byte-identical with obs enabled.
+//! shard). Its hooks fire at the world core's one input point and its one
+//! application-event point, plus crashes and partition arms. Repair and
+//! query intervals are not kept here: every node carries a
+//! [`rgb_core::obs::NodeLatency`] (the tracker the live reactor runs too),
+//! and this layer only files the samples it closes. Because rings are
+//! sharded wholesale and every interval is ring- or node-local, the latency
+//! surfaces and trace records a parallel run produces merge to exactly the
+//! sequential run's — and none of the tracking touches node inputs, RNG
+//! streams or event keys, so `SystemDigest` streams stay byte-identical
+//! with obs enabled.
 //!
 //! Everything is gated on one `enabled` flag (default off, `NullSink`),
 //! so runs that do not opt in keep current throughput.
 
 use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad};
-use rgb_core::obs::{NullSink, ObsKind, ObsRecord, TraceSink};
-use rgb_core::prelude::{AppEvent, ChangeId, HierarchyLayout, Msg, NodeId, RingId, TimerKind};
+use rgb_core::node::NodeState;
+use rgb_core::obs::{LatencySample, NullSink, ObsKind, ObsRecord, TraceSink};
+use rgb_core::prelude::{AppEvent, ChangeId, HierarchyLayout, Input, Msg, RingId, TimerKind};
 use std::collections::BTreeMap;
-
-/// "No repair in flight" sentinel for [`EngineObs::repair_started`].
-const NO_REPAIR: u64 = u64::MAX;
 
 /// In-flight change sightings tracked per engine domain before overflow
 /// trimming starts. Sightings complete at ring agreement, so steady state
 /// stays far below this; the cap only bounds pathological storms.
 const FIRST_SEEN_CAP: usize = 1 << 16;
 
-/// Per-engine observability state: the trace sink, precomputed node/ring
-/// coordinates, and the open latency intervals (change sightings, repair
-/// starts) whose closures land in [`Metrics::levels`].
+/// Per-engine observability state: the trace sink and the open join
+/// intervals (change sightings) whose closures land in [`Metrics::levels`].
+/// A record's coordinate — node id, ring, level — is read off the
+/// [`NodeState`] each hook is handed.
 #[derive(Debug)]
 pub(crate) struct EngineObs {
     /// Master switch: when false every hook returns immediately and the
     /// engine behaves exactly as before this layer existed.
-    pub(crate) enabled: bool,
+    enabled: bool,
     sink: Box<dyn TraceSink>,
-    /// Node id by local index (trace-record coordinate).
-    node_id: Vec<NodeId>,
-    /// Ring by local index.
-    node_ring: Vec<RingId>,
-    /// Hierarchy level by local index.
-    node_level: Vec<u8>,
     /// Level of every ring in the layout (Agreed events name rings).
     ring_level: BTreeMap<RingId, u8>,
     /// (ring, change) → tick of first wire sighting in that ring.
     first_seen: BTreeMap<(RingId, ChangeId), u64>,
     /// Sightings dropped because `first_seen` was at capacity.
     first_seen_overflow: u64,
-    /// Tick the node's open ring-repair suspicion began (`NO_REPAIR`
-    /// none): the first `TokenLost` or `TokenRetransmit` fire, cleared
-    /// without a sample when the ring makes progress at this node again
-    /// (token or ack received), recorded at `RingRepaired`.
-    ring_repair_started: Vec<u64>,
-    /// Tick the node's open re-attachment began (`ParentTimeout` fire),
-    /// recorded at `Reattached`.
-    reattach_started: Vec<u64>,
 }
 
 impl EngineObs {
-    /// Tracking state for the local nodes `ids` (indexed by engine-local
-    /// index) of `layout`. Coordinates are precomputed here so enabling
-    /// obs later costs nothing at runtime.
-    pub(crate) fn new(ids: &[NodeId], layout: &HierarchyLayout) -> Self {
-        let ring_level: BTreeMap<RingId, u8> =
-            layout.rings.iter().map(|r| (r.id, r.level as u8)).collect();
-        let mut node_ring = Vec::with_capacity(ids.len());
-        let mut node_level = Vec::with_capacity(ids.len());
-        for &id in ids {
-            match layout.placement(id) {
-                Ok(p) => {
-                    node_ring.push(p.ring);
-                    node_level.push(p.level as u8);
-                }
-                Err(_) => {
-                    node_ring.push(RingId(u32::MAX));
-                    node_level.push(0);
-                }
-            }
-        }
+    /// Tracking state for a world over `layout`, disabled.
+    pub(crate) fn new(layout: &HierarchyLayout) -> Self {
         EngineObs {
             enabled: false,
             sink: Box::new(NullSink),
-            node_id: ids.to_vec(),
-            node_ring,
-            node_level,
-            ring_level,
+            ring_level: layout.rings.iter().map(|r| (r.id, r.level as u8)).collect(),
             first_seen: BTreeMap::new(),
             first_seen_overflow: 0,
-            ring_repair_started: vec![NO_REPAIR; ids.len()],
-            reattach_started: vec![NO_REPAIR; ids.len()],
         }
     }
 
-    /// Turn tracking on and route trace records to `sink`.
+    /// Turn tracking on and route trace records to `sink` (a [`NullSink`]
+    /// tracks latency and retains no trace).
     pub(crate) fn enable(&mut self, sink: Box<dyn TraceSink>) {
         self.enabled = true;
         self.sink = sink;
-    }
-
-    /// Turn on latency tracking without retaining trace records
-    /// (the explorer's mode: histograms feed coverage, traces cost zero).
-    pub(crate) fn enable_tracking(&mut self) {
-        self.enabled = true;
     }
 
     /// The sink's retained records, oldest first.
@@ -125,21 +85,21 @@ impl EngineObs {
     }
 
     #[inline]
-    fn emit(&mut self, now: u64, local: usize, kind: ObsKind) {
+    fn emit(&mut self, now: u64, node: &NodeState, kind: ObsKind) {
         if self.sink.enabled() {
             self.sink.record(ObsRecord {
                 at: now,
-                node: self.node_id[local],
-                ring: self.node_ring[local],
-                level: self.node_level[local],
+                node: node.id,
+                ring: node.ring_id(),
+                level: node.level as u8,
                 kind,
             });
         }
     }
 
-    /// A change record was seen on the wire at `local`'s ring.
-    fn sight(&mut self, now: u64, local: usize, id: ChangeId) {
-        let key = (self.node_ring[local], id);
+    /// A change record was seen on the wire at `node`'s ring.
+    fn sight(&mut self, now: u64, node: &NodeState, id: ChangeId) {
+        let key = (node.ring_id(), id);
         if self.first_seen.contains_key(&key) {
             return;
         }
@@ -148,151 +108,93 @@ impl EngineObs {
             return;
         }
         self.first_seen.insert(key, now);
-        self.emit(now, local, ObsKind::JoinStart { origin: id.origin, seq: id.seq });
+        self.emit(now, node, ObsKind::JoinStart { origin: id.origin, seq: id.seq });
     }
 
-    /// A timer fired at `local`. Opens repair intervals for the
-    /// repair-triggering kinds. A `TokenRetransmit` fire is a suspicion,
-    /// not yet a fault (most retransmissions succeed), so it opens the
-    /// ring-repair anchor silently; the anchor is cleared without a
-    /// sample if the ring makes progress at this node before a repair —
-    /// what survives into the histogram is detection → exclusion for
-    /// both the §5.2 paths (timeout suspicion and retransmit
-    /// exhaustion).
-    pub(crate) fn on_timer_fire(&mut self, now: u64, local: usize, kind: TimerKind) {
+    /// `input` is offered to `node`: traces the suspicion timers, token
+    /// grants and query issues, and opens a join interval at the first
+    /// sighting of each change record in the node's ring.
+    pub(crate) fn on_input(&mut self, now: u64, node: &NodeState, input: &Input) {
         if !self.enabled {
             return;
         }
-        match kind {
-            TimerKind::TokenRetransmit { .. } if self.ring_repair_started[local] == NO_REPAIR => {
-                self.ring_repair_started[local] = now;
-            }
-            TimerKind::TokenLost => {
-                if self.ring_repair_started[local] == NO_REPAIR {
-                    self.ring_repair_started[local] = now;
-                }
-                self.emit(now, local, ObsKind::TokenLoss);
-            }
-            TimerKind::ParentTimeout => {
-                if self.reattach_started[local] == NO_REPAIR {
-                    self.reattach_started[local] = now;
-                }
-                self.emit(now, local, ObsKind::HandoffStart);
-            }
-            _ => {}
-        }
-    }
-
-    /// A decoded message arrived at `local` (the engine's receive path,
-    /// after the wire codec and group check).
-    pub(crate) fn on_msg(&mut self, now: u64, local: usize, msg: &Msg) {
-        if !self.enabled {
-            return;
-        }
-        match msg {
-            Msg::Token(t) => {
-                // The ring reached this node: any open retransmit/loss
-                // suspicion resolved without a repair.
-                self.ring_repair_started[local] = NO_REPAIR;
-                self.emit(now, local, ObsKind::TokenGrant { seq: t.seq });
+        match input {
+            Input::Timer(TimerKind::TokenLost) => self.emit(now, node, ObsKind::TokenLoss),
+            Input::Timer(TimerKind::ParentTimeout) => self.emit(now, node, ObsKind::HandoffStart),
+            Input::Msg { msg: Msg::Token(t), .. } => {
+                self.emit(now, node, ObsKind::TokenGrant { seq: t.seq });
                 for rec in &t.ops {
-                    self.sight(now, local, rec.id);
+                    self.sight(now, node, rec.id);
                 }
             }
-            Msg::TokenAck { .. } => {
-                // The suspected successor answered: suspicion resolved.
-                self.ring_repair_started[local] = NO_REPAIR;
-            }
-            Msg::MqInsert { records, .. } => {
+            Input::Msg { msg: Msg::MqInsert { records, .. }, .. } => {
                 for rec in records {
-                    self.sight(now, local, rec.id);
+                    self.sight(now, node, rec.id);
                 }
             }
+            Input::StartQuery { .. } => self.emit(now, node, ObsKind::QueryIssue),
             _ => {}
         }
     }
 
-    /// An application event was delivered at `local`. Closes join and
-    /// repair intervals into the per-level surfaces.
+    /// `node` delivered `event`, which closed `sample` (its
+    /// [`rgb_core::obs::NodeLatency`]'s verdict). Files the sample and any
+    /// join intervals the event closes into the per-level surfaces, and
+    /// traces the completion.
     pub(crate) fn on_app(
         &mut self,
         now: u64,
-        local: usize,
+        node: &NodeState,
         event: &AppEvent,
+        sample: Option<LatencySample>,
         metrics: &mut Metrics,
     ) {
         if !self.enabled {
             return;
         }
+        if let Some(sample) = sample {
+            sample.record(metrics.levels.level_mut(node.level as u8));
+        }
         match event {
             AppEvent::Agreed { ring, ids } => {
-                let level = self.ring_level.get(ring).copied().unwrap_or(self.node_level[local]);
+                let level = self.ring_level.get(ring).copied().unwrap_or(node.level as u8);
                 for id in ids {
                     if let Some(t0) = self.first_seen.remove(&(*ring, *id)) {
                         metrics.levels.level_mut(level).join.record(now.saturating_sub(t0));
                     }
                 }
-                self.emit(now, local, ObsKind::JoinCommit { changes: ids.len() as u32 });
+                self.emit(now, node, ObsKind::JoinCommit { changes: ids.len() as u32 });
             }
             AppEvent::RingRepaired { .. } => {
-                let t0 = std::mem::replace(&mut self.ring_repair_started[local], NO_REPAIR);
-                self.record_repair(now, local, t0, metrics);
-                self.emit(now, local, ObsKind::TokenRecovery { excluded: 1 });
+                self.emit(now, node, ObsKind::TokenRecovery { excluded: 1 });
             }
-            AppEvent::Reattached { .. } => {
-                let t0 = std::mem::replace(&mut self.reattach_started[local], NO_REPAIR);
-                self.record_repair(now, local, t0, metrics);
-                self.emit(now, local, ObsKind::HandoffEnd);
-            }
-            AppEvent::FastHandoff { .. } => self.emit(now, local, ObsKind::FastHandoff),
+            AppEvent::Reattached { .. } => self.emit(now, node, ObsKind::HandoffEnd),
+            AppEvent::FastHandoff { .. } => self.emit(now, node, ObsKind::FastHandoff),
             AppEvent::QueryResult { responses, .. } => {
-                self.emit(now, local, ObsKind::QueryAnswer { responses: *responses });
+                self.emit(now, node, ObsKind::QueryAnswer { responses: *responses });
             }
             _ => {}
         }
     }
 
-    fn record_repair(&mut self, now: u64, local: usize, t0: u64, metrics: &mut Metrics) {
-        if t0 != NO_REPAIR {
-            metrics.levels.level_mut(self.node_level[local]).repair.record(now.saturating_sub(t0));
-        }
-    }
-
-    /// A membership query was issued at `local`.
-    pub(crate) fn on_query_issue(&mut self, now: u64, local: usize) {
-        if !self.enabled {
-            return;
-        }
-        self.emit(now, local, ObsKind::QueryIssue);
-    }
-
-    /// A query completed at `local` after `dt` ticks (the engine already
-    /// computes the RTT for its flat histogram).
-    pub(crate) fn on_query_done(&mut self, local: usize, dt: u64, metrics: &mut Metrics) {
-        if !self.enabled {
-            return;
-        }
-        metrics.levels.level_mut(self.node_level[local]).query.record(dt);
-    }
-
-    /// A scheduled partition arm took effect at endpoint `local`
+    /// A scheduled partition arm took effect at endpoint `node`
     /// (engines emit this for endpoint `a` only, so sequential and
     /// parallel traces agree — the parallel engine replicates partition
     /// arms to both endpoint owners).
-    pub(crate) fn on_partition(&mut self, now: u64, local: usize, start: bool) {
+    pub(crate) fn on_partition(&mut self, now: u64, node: &NodeState, start: bool) {
         if !self.enabled {
             return;
         }
         let kind = if start { ObsKind::PartitionStart } else { ObsKind::PartitionHeal };
-        self.emit(now, local, kind);
+        self.emit(now, node, kind);
     }
 
-    /// The fault plan crashed `local`.
-    pub(crate) fn on_crash(&mut self, now: u64, local: usize) {
+    /// The fault plan crashed `node`.
+    pub(crate) fn on_crash(&mut self, now: u64, node: &NodeState) {
         if !self.enabled {
             return;
         }
-        self.emit(now, local, ObsKind::Crash);
+        self.emit(now, node, ObsKind::Crash);
     }
 }
 
@@ -602,78 +504,49 @@ pub fn prometheus_text(metrics: &Metrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rgb_core::prelude::{GroupId, HierarchySpec};
+    use rgb_core::prelude::{
+        ChangeOp, ChangeRecord, GroupId, Guid, HierarchySpec, NodeId, NotifyKind,
+    };
 
-    fn obs_fixture() -> EngineObs {
+    /// Tracking state over an h=2 r=3 layout, and its node `i` (id order).
+    fn obs_fixture(i: usize) -> (EngineObs, NodeState) {
         let layout = HierarchySpec::new(2, 3).build(GroupId(1)).unwrap();
-        let ids: Vec<NodeId> = layout.nodes.keys().copied().collect();
-        EngineObs::new(&ids, &layout)
+        let id = *layout.nodes.keys().nth(i).unwrap();
+        let node = NodeState::from_layout(&layout, id, Default::default()).unwrap();
+        (EngineObs::new(&layout), node)
     }
 
     #[test]
     fn disabled_hooks_track_nothing() {
-        let mut obs = obs_fixture();
+        let (mut obs, node) = obs_fixture(0);
         let mut m = Metrics::default();
-        obs.on_timer_fire(5, 0, TimerKind::TokenLost);
-        obs.on_app(9, 0, &AppEvent::RingRepaired { ring: RingId(0), excluded: NodeId(2) }, &mut m);
-        obs.on_query_done(0, 17, &mut m);
+        obs.on_input(5, &node, &Input::Timer(TimerKind::TokenLost));
+        let repaired = AppEvent::RingRepaired { ring: RingId(0), excluded: NodeId(9) };
+        obs.on_app(9, &node, &repaired, Some(LatencySample::Repair(4)), &mut m);
+        obs.on_crash(10, &node);
         assert!(m.levels.is_empty());
         assert!(obs.trace_snapshot().is_empty());
     }
 
     #[test]
-    fn repair_interval_closes_into_the_node_level_surface() {
-        let mut obs = obs_fixture();
-        obs.enable(Box::new(rgb_core::obs::FlightRecorder::new(64)));
-        let mut m = Metrics::default();
-        obs.on_timer_fire(100, 1, TimerKind::TokenLost);
-        obs.on_app(
-            140,
-            1,
-            &AppEvent::RingRepaired { ring: RingId(0), excluded: NodeId(9) },
-            &mut m,
-        );
-        let level = obs.node_level[1];
-        let h = &m.levels.get(level).unwrap().repair;
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), Some(40));
-        // A second completion with no open interval records nothing.
-        obs.on_app(
-            150,
-            1,
-            &AppEvent::RingRepaired { ring: RingId(0), excluded: NodeId(9) },
-            &mut m,
-        );
-        assert_eq!(m.levels.get(level).unwrap().repair.count(), 1);
-        let kinds: Vec<ObsKind> = obs.trace_snapshot().iter().map(|r| r.kind).collect();
-        assert!(kinds.contains(&ObsKind::TokenLoss));
-        assert!(kinds.contains(&ObsKind::TokenRecovery { excluded: 1 }));
-    }
-
-    #[test]
     fn join_interval_anchors_on_first_sighting_per_ring() {
-        let mut obs = obs_fixture();
-        obs.enable_tracking();
+        let (mut obs, node) = obs_fixture(4);
+        obs.enable(Box::new(NullSink));
         let mut m = Metrics::default();
         let id = ChangeId { origin: NodeId(7), seq: 3 };
-        let ring = obs.node_ring[4];
-        let msg = Msg::MqInsert {
-            kind: rgb_core::prelude::NotifyKind::Local,
-            records: vec![make_record(id, ring)],
-        };
-        obs.on_msg(50, 4, &msg);
-        obs.on_msg(60, 4, &msg); // re-sighting does not reset the anchor
-        obs.on_app(90, 4, &AppEvent::Agreed { ring, ids: vec![id] }, &mut m);
-        let level = obs.node_level[4];
+        let ring = node.ring_id();
+        let op = ChangeOp::MemberLeave { guid: Guid(1) };
+        let records = vec![ChangeRecord::new(id, id.origin, ring, op)];
+        let msg =
+            Input::Msg { from: NodeId(7), msg: Msg::MqInsert { kind: NotifyKind::Local, records } };
+        obs.on_input(50, &node, &msg);
+        obs.on_input(60, &node, &msg); // re-sighting does not reset the anchor
+        obs.on_app(90, &node, &AppEvent::Agreed { ring, ids: vec![id] }, None, &mut m);
+        let level = node.level as u8;
         assert_eq!(m.levels.get(level).unwrap().join.max(), Some(40));
         // The interval is consumed: a second Agreed records nothing new.
-        obs.on_app(95, 4, &AppEvent::Agreed { ring, ids: vec![id] }, &mut m);
-        assert_eq!(m.levels.get(level).unwrap().join.count(), 1);
-    }
-
-    fn make_record(id: ChangeId, ring: RingId) -> rgb_core::prelude::ChangeRecord {
-        use rgb_core::prelude::*;
-        ChangeRecord::new(id, id.origin, ring, ChangeOp::MemberLeave { guid: Guid(1) })
+        obs.on_app(95, &node, &AppEvent::Agreed { ring, ids: vec![id] }, None, &mut m);
+        assert_eq!(m.levels.get(level).unwrap().join.len(), 1);
     }
 
     #[test]

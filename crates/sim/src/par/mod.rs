@@ -312,9 +312,7 @@ impl ParSimulation {
     /// Enable latency tracking only (no trace retention) — the explorer's
     /// mode: per-level histograms feed coverage features at no trace cost.
     pub fn enable_obs_tracking(&mut self) {
-        for shard in &mut self.shards {
-            shard.world.obs.enable_tracking();
-        }
+        self.enable_obs(|_| Box::new(rgb_core::obs::NullSink));
     }
 
     /// Retained trace records merged across every shard and sorted into

@@ -19,7 +19,7 @@ use crate::rng::SplitMix64;
 use crate::world::{Run, Schedule, World};
 use bytes::Bytes;
 use rgb_core::node::NodeState;
-use rgb_core::obs::{ObsRecord, TraceSink};
+use rgb_core::obs::{NullSink, ObsRecord, TraceSink};
 use rgb_core::prelude::*;
 use rgb_core::topology::HierarchyLayout;
 use std::collections::BTreeSet;
@@ -83,7 +83,7 @@ impl Simulation {
     /// Enable latency tracking only (no trace retention) — the explorer's
     /// mode: per-level histograms feed coverage features at no trace cost.
     pub fn enable_obs_tracking(&mut self) {
-        self.world.obs.enable_tracking();
+        self.enable_obs(Box::new(NullSink));
     }
 
     /// The flight recorder's retained records, oldest first (empty when
@@ -478,7 +478,7 @@ mod tests {
         sim.run_until_quiet(1_000_000);
         sim.schedule_query(0, ap, QueryScope::Global);
         sim.run_until_quiet(1_000_000);
-        assert_eq!(sim.metrics.query_latency.count(), 1);
+        assert_eq!(sim.metrics.query_latency.len(), 1);
         assert!(sim.metrics.query_latency.max().unwrap() > 0);
     }
 

@@ -34,9 +34,9 @@
 //! - node state and deliveries live in `Vec`s indexed by arena slot — no
 //!   `BTreeMap`/`BTreeSet` in `step()`;
 //! - everything else the engine keeps per node — crash flag, timer
-//!   generation, live timers, emission counter, random stream, query
-//!   clock — is **one packed slot per node** (`NodeSlot`): a delivery, its
-//!   ack and the timers they arm touch one 192-byte slot whose live timers
+//!   generation, live timers, emission counter, random stream, latency
+//!   anchors — is **one packed slot per node** (`NodeSlot`): a delivery, its
+//!   ack and the timers they arm touch one 208-byte slot whose live timers
 //!   sit inline ([`rgb_core::substrate::TimerSet`]), not six parallel
 //!   arrays on six pages;
 //! - link classification is a [`LinkClassMatrix`] lookup precomputed at
@@ -84,15 +84,13 @@ use crate::rng::SplitMix64;
 use crate::sim::MemoryStats;
 use bytes::{Bytes, BytesMut};
 use rgb_core::node::NodeState;
+use rgb_core::obs::{LatencySample, NodeLatency};
 use rgb_core::prelude::*;
 use rgb_core::substrate::{FramePool, TimerSet};
 use rgb_core::topology::HierarchyLayout;
 use rgb_core::wire;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-/// Sentinel for "no query outstanding" in the per-node query clock.
-const NO_QUERY: u64 = u64::MAX;
 
 /// Stream-id salt of per-node RNG streams (XORed with the node id).
 const NODE_STREAM_SALT: u64 = 0x4e4f_4445_0000_0000; // "NODE"
@@ -108,7 +106,7 @@ const EXT_SRC: u32 = u32::MAX;
 /// like its arena). Declaration order is layout order (`repr(C)`): the
 /// scalars every event reads come first, directly followed by the head of
 /// the timer set, so a token hop stays within the slot's first two cache
-/// lines.
+/// lines; the ring anchor a token or ack clears is among those scalars.
 #[derive(Debug, Clone)]
 #[repr(C)]
 struct NodeSlot {
@@ -119,8 +117,8 @@ struct NodeSlot {
     /// The node's private random stream — its draws depend only on its own
     /// activity, never on engine interleaving.
     rng: SplitMix64,
-    /// Start time of the outstanding query ([`NO_QUERY`] = none).
-    query_started: u64,
+    /// Open repair, reattach and query intervals.
+    latency: NodeLatency,
     /// The node crashed: its deliveries and timers are dropped.
     crashed: bool,
     /// Live timers.
@@ -136,7 +134,7 @@ impl NodeSlot {
             gen: 0,
             emit: 0,
             rng: SplitMix64::stream(seed, NODE_STREAM_SALT ^ id.0),
-            query_started: NO_QUERY,
+            latency: NodeLatency::default(),
             crashed: false,
             timers: TimerSet::default(),
         }
@@ -318,8 +316,9 @@ pub(crate) struct World {
     pub frames: FramePool,
     /// Observability hooks over the nodes held (disabled by default).
     /// Ring-wholesale sharding keeps every `(ring, change)` join interval
-    /// and every node-local repair interval in one world, so the per-level
-    /// histograms of the parts merge to the whole world's exactly.
+    /// in one world, and every repair and query interval lives in its
+    /// node's slot, so the per-level histograms of the parts merge to the
+    /// whole world's exactly.
     pub obs: EngineObs,
     net: NetworkModel,
     // Shared, immutable facts of the layout.
@@ -368,7 +367,7 @@ impl World {
             partitioned: Vec::new(),
             out_buf: OutputSink::new(),
             frames: FramePool::default(),
-            obs: EngineObs::new(&ids, layout),
+            obs: EngineObs::new(layout),
             net,
             indexer,
             classes,
@@ -479,14 +478,21 @@ impl Run<'_> {
 
     /// Deliver an input to the node at `slot` right now and process the
     /// outputs through the shared [`apply_outputs`] driver (sends are
-    /// wire-encoded). A crashed node ignores it.
+    /// wire-encoded). A crashed node ignores it. This is the one point where
+    /// an input reaches a node, so it is where obs sees inputs: the trace
+    /// sees every input offered (a query issued at a crashed node is still
+    /// a `QueryIssue`), the latency tracker only those the node handles.
     pub fn inject(&mut self, slot: usize, input: Input) {
         let world = &mut *self.world;
-        if world.slots[slot].crashed {
+        let now = *self.now;
+        let node = &mut world.nodes[slot];
+        world.obs.on_input(now, node, &input);
+        let state = &mut world.slots[slot];
+        if state.crashed {
             return;
         }
+        state.latency.on_input(now, &input);
         let mut outs = std::mem::take(&mut world.out_buf);
-        let node = &mut world.nodes[slot];
         node.handle_into(input, &mut outs);
         let (gid, id) = (world.gid, node.id);
         apply_outputs(self, gid, id, &mut outs);
@@ -500,9 +506,6 @@ impl Run<'_> {
         match wire::decode(frame) {
             Ok(env) if env.gid == self.world.gid => {
                 if let Some(slot) = to {
-                    if self.world.obs.enabled {
-                        self.world.obs.on_msg(*self.now, slot.as_usize(), &env.msg);
-                    }
                     self.inject(slot.as_usize(), Input::Msg { from, msg: env.msg });
                 }
             }
@@ -546,9 +549,6 @@ impl Run<'_> {
                 let slot = &mut self.world.slots[i];
                 if !slot.crashed && slot.timers.fire(gen) {
                     self.metrics.record_timer_fire(kind);
-                    if self.world.obs.enabled {
-                        self.world.obs.on_timer_fire(now, i, kind);
-                    }
                     self.inject(i, Input::Timer(kind));
                 } else {
                     self.metrics.stale_timer_skips += 1;
@@ -577,17 +577,11 @@ impl Run<'_> {
                 if let Some(i) = self.world.slot_of(node) {
                     self.world.slots[i].crashed = true;
                     self.world.slots[i].timers.clear();
-                    if self.world.obs.enabled {
-                        self.world.obs.on_crash(now, i);
-                    }
+                    self.world.obs.on_crash(now, &self.world.nodes[i]);
                 }
             }
             EventKind::QueryStart { node, scope } => {
                 if let Some(i) = self.world.slot_of(node) {
-                    self.world.slots[i].query_started = now;
-                    if self.world.obs.enabled {
-                        self.world.obs.on_query_issue(now, i);
-                    }
                     self.inject(i, Input::StartQuery { scope });
                 }
             }
@@ -614,10 +608,8 @@ impl Run<'_> {
     /// to the shards of both endpoints, and one record must come of it, as
     /// from the whole world.
     fn trace_partition(&mut self, a: NodeId, start: bool) {
-        if self.world.obs.enabled {
-            if let Some(i) = self.world.slot_of(a) {
-                self.world.obs.on_partition(*self.now, i, start);
-            }
+        if let Some(i) = self.world.slot_of(a) {
+            self.world.obs.on_partition(*self.now, &self.world.nodes[i], start);
         }
     }
 }
@@ -703,17 +695,12 @@ impl Substrate for Run<'_> {
         self.metrics.app_events += 1;
         let world = &mut *self.world;
         let Some(i) = world.slot_of(node) else { return };
-        if let AppEvent::QueryResult { .. } = &event {
-            let t0 = std::mem::replace(&mut world.slots[i].query_started, NO_QUERY);
-            if t0 != NO_QUERY {
-                let dt = *self.now - t0;
-                self.metrics.query_latency.record(dt);
-                world.obs.on_query_done(i, dt, self.metrics);
-            }
+        let now = *self.now;
+        let sample = world.slots[i].latency.on_app(now, &event);
+        if let Some(LatencySample::Query(dt)) = sample {
+            self.metrics.query_latency.record(dt);
         }
-        if world.obs.enabled {
-            world.obs.on_app(*self.now, i, &event, self.metrics);
-        }
+        world.obs.on_app(now, &world.nodes[i], &event, sample, self.metrics);
         let log = &mut world.delivered[i];
         if log.len() < world.delivered_cap {
             log.push((*self.now, event));

@@ -25,7 +25,9 @@ const TRACE_CAP: usize = 1 << 16;
 
 /// [`Fnv1a`] over the sorted trace records, then the `Debug` rendering of
 /// the per-level latency surfaces.
-fn obs_fingerprint(mut records: Vec<ObsRecord>, levels: &LevelHistograms) -> u64 {
+fn obs_fingerprint(dropped: u64, mut records: Vec<ObsRecord>, levels: &LevelHistograms) -> u64 {
+    assert_eq!(dropped, 0, "a flight recorder evicted");
+    assert!(!levels.is_empty(), "no latency sample to pin");
     records.sort_unstable();
     let mut hash = Fnv1a::new();
     for rec in &records {
@@ -42,15 +44,13 @@ fn assert_obs_pinned(name: &str, want: u64) {
     let mut seq = sc.try_build_sim().expect("preset validates");
     seq.enable_obs(Box::new(FlightRecorder::new(TRACE_CAP)));
     seq.run_until(sc.duration);
-    assert_eq!(seq.trace_dropped(), 0, "'{name}': Seq recorder evicted");
-    assert!(!seq.metrics.levels.is_empty(), "'{name}': no latency sample to pin");
-    assert_eq!(obs_fingerprint(seq.trace_snapshot(), &seq.metrics.levels), want, "'{name}' Seq");
-
+    let seq_obs = obs_fingerprint(seq.trace_dropped(), seq.trace_snapshot(), &seq.metrics.levels);
+    assert_eq!(seq_obs, want, "'{name}' on Seq");
     let mut par = sc.try_build_par(3).expect("preset validates");
     par.enable_obs(|_| Box::new(FlightRecorder::new(TRACE_CAP)) as Box<dyn TraceSink>);
     par.run_until(sc.duration);
-    assert_eq!(par.trace_dropped(), 0, "'{name}': Par(3) recorders evicted");
-    assert_eq!(obs_fingerprint(par.trace_snapshot(), &par.level_latency()), want, "'{name}' Par");
+    let par_obs = obs_fingerprint(par.trace_dropped(), par.trace_snapshot(), &par.level_latency());
+    assert_eq!(par_obs, want, "'{name}' on Par(3)");
 }
 
 #[test]

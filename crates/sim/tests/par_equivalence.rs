@@ -301,8 +301,8 @@ fn run_until_now_drains_what_is_due_now_on_both_engines() {
             seq.run_until(2_000);
             par.run_until(2_000);
             assert_eq!(seq.system_digest(false), par.system_digest(false), "{shards} shards, end");
-            assert_eq!(seq.metrics.query_latency.count(), 1);
-            assert_eq!(par.metrics().query_latency.count(), 1, "{shards} shards");
+            assert_eq!(seq.metrics.query_latency.len(), 1);
+            assert_eq!(par.metrics().query_latency.len(), 1, "{shards} shards");
         }
     }
 }

@@ -7,8 +7,9 @@
 //! cargo run --release --example failure_storm
 //! ```
 
+use rgb::core::hierarchy::assess;
 use rgb::prelude::*;
-use rgb::sim::{bernoulli_crashes, function_well_report, Simulation};
+use rgb::sim::{bernoulli_crashes, Simulation};
 
 fn main() {
     let mut cfg = ProtocolConfig::live();
@@ -64,7 +65,7 @@ fn main() {
     println!("  leader changes delivered      : {leader_changes}");
     println!("  rings re-attached             : {reattached}");
 
-    let report = function_well_report(&sim);
+    let report = assess(&sim.layout, sim.crashed_set());
     println!(
         "  Function-Well report          : {} of {} rings shattered (>=2 faults)",
         report.bad_count(),

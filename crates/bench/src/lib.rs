@@ -177,12 +177,10 @@ pub fn measure_shape_latency(h: usize, r: usize, seed: u64) -> ChangeCost {
 }
 
 /// Ablation D1, the self-aggregating message queue: a bursty workload
-/// (every member joins, half immediately leave, some bounce between
-/// proxies) on an h=2 r=5 hierarchy with aggregation on or off. Returns
-/// (total messages, ops executed across all nodes, records aggregated
-/// away). One token round carries any number of queued records, so
-/// aggregation does not change the message count; its payoff is fewer ops
-/// executed (cancelled pairs never ride a token) and smaller tokens.
+/// (every member joins, half leave at once, some bounce between proxies)
+/// on h=2 r=5, aggregation on or off. Returns (messages, ops executed,
+/// records aggregated away). A round carries any number of records, so
+/// aggregation saves ops (cancelled pairs never ride a token), not messages.
 pub fn bursty(aggregate: bool) -> (u64, u64, u64) {
     let cfg = ProtocolConfig { aggregate_mq: aggregate, ..ProtocolConfig::default() };
     let layout = HierarchySpec::new(2, 5).build(GroupId(1)).unwrap();

@@ -277,14 +277,18 @@ impl NodeLatency {
     /// The node delivers `event` at tick `now`: the interval it closes, if
     /// one was open.
     pub fn on_app(&mut self, now: u64, event: &AppEvent) -> Option<LatencySample> {
-        let (anchor, sample): (_, fn(u64) -> LatencySample) = match event {
-            AppEvent::RingRepaired { .. } => (&mut self.ring_repair, LatencySample::Repair),
-            AppEvent::Reattached { .. } => (&mut self.reattach, LatencySample::Repair),
-            AppEvent::QueryResult { .. } => (&mut self.query, LatencySample::Query),
-            _ => return None,
+        let close = |anchor: &mut u64| {
+            let t0 = std::mem::replace(anchor, NO_ANCHOR);
+            (t0 != NO_ANCHOR).then(|| now.saturating_sub(t0))
         };
-        let t0 = std::mem::replace(anchor, NO_ANCHOR);
-        (t0 != NO_ANCHOR).then(|| sample(now.saturating_sub(t0)))
+        match event {
+            AppEvent::RingRepaired { .. } => {
+                close(&mut self.ring_repair).map(LatencySample::Repair)
+            }
+            AppEvent::Reattached { .. } => close(&mut self.reattach).map(LatencySample::Repair),
+            AppEvent::QueryResult { .. } => close(&mut self.query).map(LatencySample::Query),
+            _ => None,
+        }
     }
 }
 

@@ -263,10 +263,10 @@ impl Cluster {
         }
     }
 
-    /// Per-ring-level latency surfaces observed so far (repair duration
-    /// and query RTT in wall ticks; join anchoring is simulator-only).
-    /// The same [`rgb_core::obs::LevelHistograms`] shape the simulators
-    /// merge, so live and simulated runs export through one path.
+    /// Per-ring-level repair and query samples so far, in wall ticks, as
+    /// each node's [`rgb_core::obs::NodeLatency`] closed them (join
+    /// anchoring is simulator-only). The same shape the simulators merge,
+    /// so live and simulated runs export through one path.
     pub fn level_latency(&self) -> rgb_core::obs::LevelHistograms {
         self.shared.latency.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }

@@ -132,9 +132,8 @@ fn live_crash_is_repaired_and_protocol_continues() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert!(repaired, "ring never repaired after crash");
-    // The predecessor's exhausted retransmissions opened a repair interval
-    // that its exclusion of the victim closed, before any survivor could
-    // show the shorter roster.
+    // The predecessor's retransmissions opened a repair interval that its
+    // exclusion of the victim closed before any roster could shrink.
     let repairs = cluster.level_latency().get(0).map_or(0, |l| l.repair.len());
     assert!(repairs >= 1, "the repair left no sample at level 0");
     // A query at a survivor closes exactly one query interval.

@@ -219,6 +219,7 @@ impl EventQueue {
     }
 
     /// Pop the next entry in strict global `(at, key)` order.
+    #[inline]
     pub fn pop(&mut self) -> Option<Event> {
         let event = self.events.pop()?;
         if event.kind.is_disruption() {

@@ -2,8 +2,7 @@
 //! 21–23) against a static token owner, under the continuous policy.
 //! Rotation spreads queue-drain opportunities around the ring; with a
 //! static owner, changes queued at other nodes wait for the owner's rounds
-//! and the owner becomes a hotspot. Times [`rgb_bench::churn_run`] both
-//! ways; that both still agree is asserted in `tests/ablations.rs`.
+//! and the owner becomes a hotspot. `tests/ablations.rs` checks both agree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rgb_bench::churn_run;

@@ -277,16 +277,15 @@ impl NodeLatency {
     /// The node delivers `event` at tick `now`: the interval it closes, if
     /// one was open.
     pub fn on_app(&mut self, now: u64, event: &AppEvent) -> Option<LatencySample> {
+        use LatencySample::{Query, Repair};
         let close = |anchor: &mut u64| {
             let t0 = std::mem::replace(anchor, NO_ANCHOR);
             (t0 != NO_ANCHOR).then(|| now.saturating_sub(t0))
         };
         match event {
-            AppEvent::RingRepaired { .. } => {
-                close(&mut self.ring_repair).map(LatencySample::Repair)
-            }
-            AppEvent::Reattached { .. } => close(&mut self.reattach).map(LatencySample::Repair),
-            AppEvent::QueryResult { .. } => close(&mut self.query).map(LatencySample::Query),
+            AppEvent::RingRepaired { .. } => close(&mut self.ring_repair).map(Repair),
+            AppEvent::Reattached { .. } => close(&mut self.reattach).map(Repair),
+            AppEvent::QueryResult { .. } => close(&mut self.query).map(Query),
             _ => None,
         }
     }

@@ -143,6 +143,30 @@ mod tests {
     }
 
     #[test]
+    fn success_counts_are_pinned_per_seed() {
+        // Absolute pins of the sampled stream: a change to the generator,
+        // its seeding or the draw order moves these counts even when every
+        // estimate stays statistically consistent. The first case is the
+        // (n = 1000, f = 2%, k = 3) cell of `table2_mc -- 20000`.
+        for &(h, r, f, k, trials, seed, successes) in &[
+            (3u32, 10u64, 0.02f64, 3u32, 20_000u64, 0xFEED + 3, 14_559u64),
+            (3, 5, 0.1, 2, 10_000, 9, 2_777),
+            (2, 10, 0.01, 2, 50_000, 7, 49_950),
+        ] {
+            let est = estimate_hierarchy_fw(h, r, f, k, trials, seed);
+            assert_eq!(est.successes, successes, "h={h} r={r} f={f} k={k} seed={seed:#x}");
+        }
+        for &(r, f, trials, seed, successes) in &[
+            (10u64, 0.05f64, 50_000u64, 42u64, 45_791u64),
+            (5, 0.1, 10_000, 1, 9_116),
+            (3, 0.2, 30_000, 0xFEED, 26_819),
+        ] {
+            let est = estimate_ring_fw(r, f, trials, seed);
+            assert_eq!(est.successes, successes, "r={r} f={f} seed={seed:#x}");
+        }
+    }
+
+    #[test]
     fn ci_is_well_formed() {
         let est = estimate_ring_fw(5, 0.1, 10_000, 1);
         let (lo, hi) = est.ci95();

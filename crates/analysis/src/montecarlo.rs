@@ -5,8 +5,7 @@
 //! their algebra.
 
 use crate::hopcount::ring_count;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rgb_core::rng::SplitMix64;
 use serde::{Deserialize, Serialize};
 
 /// Result of a Monte-Carlo estimation.
@@ -52,14 +51,14 @@ impl McEstimate {
 /// estimator targets the probability model.)
 pub fn estimate_hierarchy_fw(h: u32, r: u64, f: f64, k: u32, trials: u64, seed: u64) -> McEstimate {
     let tn = ring_count(h, r);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut successes = 0u64;
     for _ in 0..trials {
         let mut bad_rings = 0u64;
         'rings: for _ in 0..tn {
             let mut faults = 0u32;
             for _ in 0..r {
-                if rng.random::<f64>() < f {
+                if rng.uniform() < f {
                     faults += 1;
                     if faults >= 2 {
                         bad_rings += 1;
@@ -80,10 +79,10 @@ pub fn estimate_hierarchy_fw(h: u32, r: u64, f: f64, k: u32, trials: u64, seed: 
 
 /// Estimate the single-ring Function-Well probability (formula 7 check).
 pub fn estimate_ring_fw(r: u64, f: f64, trials: u64, seed: u64) -> McEstimate {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut successes = 0u64;
     for _ in 0..trials {
-        let faults = (0..r).filter(|_| rng.random::<f64>() < f).count();
+        let faults = (0..r).filter(|_| rng.uniform() < f).count();
         if faults <= 1 {
             successes += 1;
         }
@@ -118,7 +117,7 @@ mod tests {
 
     #[test]
     fn hierarchy_estimate_matches_formula_8() {
-        // Moderate sizes keep the test fast; the bench sweeps the full grid.
+        // Moderate sizes keep the test fast; `table2_mc` sweeps the full grid.
         for &(h, r, f, k) in &[(3u32, 5u64, 0.005f64, 1u32), (3, 5, 0.02, 3), (2, 10, 0.01, 2)] {
             let est = estimate_hierarchy_fw(h, r, f, k, 100_000, 7);
             let truth = prob_fw_hierarchy(h, r, f, k);

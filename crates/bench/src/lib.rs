@@ -1,9 +1,7 @@
-//! # rgb-bench — measurement helpers behind the table/figure binaries and
-//! the criterion benches.
+//! # rgb-bench — measurement helpers behind the table/figure binaries.
 //!
 //! Every experiment in `EXPERIMENTS.md` (E1–E11) calls into this crate so
-//! the binaries, the criterion benches and the integration tests measure
-//! the *same* code paths.
+//! the binaries and the integration tests measure the *same* code paths.
 //!
 //! Measurement runs are **built from declarative [`Scenario`] values**
 //! (topology, configuration, schedule) and then driven imperatively with

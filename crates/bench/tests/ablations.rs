@@ -1,5 +1,6 @@
-//! What the two ablation benches time must also hold: CI only compiles the
-//! benches (`cargo bench --no-run`), so their correctness claims live here.
+//! The two ablation claims of E7, asserted: MQ aggregation (D1) executes
+//! fewer ops and never adds traffic, and holder rotation (D2) agrees on
+//! every member as a static holder does.
 
 use rgb_bench::{bursty, churn_run};
 

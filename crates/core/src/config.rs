@@ -1,7 +1,9 @@
 //! Protocol configuration knobs.
 //!
-//! Every design decision called out in `DESIGN.md` (D1–D4) is a field here so
-//! that the ablation benches can toggle it.
+//! Every design decision the reproduction ablates (D1 MQ aggregation, D2
+//! holder rotation, D4 membership placement) is a field here, so that the
+//! ablation workloads (`rgb_bench::{bursty, churn_run}`, asserted in
+//! `crates/bench/tests/ablations.rs`) can toggle it.
 
 use serde::{Deserialize, Serialize};
 
@@ -51,7 +53,7 @@ pub struct ProtocolConfig {
     /// Membership maintenance placement (D4).
     pub scheme: MembershipScheme,
     /// Aggregate successive MQ messages into one token op (D1). Disabling
-    /// this is only useful for the ablation bench.
+    /// this is only useful for the aggregation ablation.
     pub aggregate_mq: bool,
     /// Rotate token holdership to `holder.next` after each round (D2,
     /// Figure 3 lines 21–23). When disabled the same node holds the token

@@ -1,6 +1,6 @@
 //! Global Function-Well assessment of a ring-based hierarchy under a fault
-//! set — the whole-hierarchy view of the §5.2 model, used by the simulator
-//! oracle, the Monte-Carlo estimator and the reliability benches.
+//! set — the whole-hierarchy view of the §5.2 model, applied by the
+//! `failure_storm` example to a simulated run's crash set.
 
 use crate::ids::RingId;
 use crate::partition::{fault_count, hierarchy_function_well, ring_function_well, segments};

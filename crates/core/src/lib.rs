@@ -15,8 +15,9 @@
 //!
 //! * `rgb-sim` — a discrete-event mobile-Internet simulator (latency, loss,
 //!   faults, mobility, metrics);
-//! * `rgb-net` — a live threaded runtime (one thread per entity,
-//!   crossbeam-channel transport, binary wire format from [`wire`]).
+//! * `rgb-net` — a live reactor runtime (a small pool of worker threads,
+//!   each multiplexing many entities off a timer wheel; crossbeam-channel
+//!   transport, binary wire format from [`wire`]).
 //!
 //! ## Map from the paper
 //!
@@ -78,6 +79,7 @@ pub mod partition;
 pub mod protocol;
 pub mod query;
 pub mod ring;
+pub mod rng;
 pub mod substrate;
 pub mod testing;
 pub mod token;

@@ -12,9 +12,11 @@
 //! * the hierarchy is **Function-Well for k** when fewer than `k` rings fail
 //!   to function well (formula (8) sums `i = 0 .. k-1` bad rings).
 //!
-//! These pure functions are used by the simulator's oracle and by the
-//! Monte-Carlo reliability estimator, so the measured Table II agrees with
-//! the analytical model by construction of the *rules*, not the numbers.
+//! These pure functions back [`crate::hierarchy::assess`] (which the
+//! `failure_storm` example applies to a simulated run's crash set) and the
+//! node-resolved Monte-Carlo of `rgb_baselines::reliability`. The Table II
+//! estimator in `rgb_analysis::montecarlo` does not call them: it samples
+//! per-ring fault counts and applies the same "≥ 2 faults" rule itself.
 
 use crate::ids::NodeId;
 use std::collections::BTreeSet;

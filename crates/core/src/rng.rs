@@ -1,8 +1,16 @@
-//! Deterministic pseudo-random numbers for the simulator.
+//! Deterministic pseudo-random numbers: the one generator of the
+//! workspace.
 //!
 //! A SplitMix64 generator: tiny, fast, and fully reproducible across
-//! platforms — every simulation run is a pure function of its seed, which
-//! the test suite and the benches rely on.
+//! platforms. Every simulation run (`rgb-sim`, re-exported there as
+//! `rgb_sim::SplitMix64`) and every Monte-Carlo estimate (`rgb-analysis`)
+//! is a pure function of its seed, which the digest pins and the estimator
+//! pins rely on.
+//!
+//! Every method is `#[inline]`: the workspace builds without LTO, and the
+//! simulator draws from a node's stream once or twice per frame
+//! (`NetworkModel::plan_frame`), so an out-of-line call here is a call per
+//! frame from another crate.
 
 /// SplitMix64 PRNG.
 #[derive(Debug, Clone)]
@@ -12,6 +20,7 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Seeded generator.
+    #[inline]
     pub fn new(seed: u64) -> Self {
         SplitMix64 { state: seed }
     }
@@ -25,6 +34,7 @@ impl SplitMix64 {
     /// node the exact same random sequence. The Weyl-style multiply
     /// decorrelates neighbouring stream ids; one warm-up step separates the
     /// stream from a plain `new(seed ^ …)` generator.
+    #[inline]
     pub fn stream(seed: u64, stream: u64) -> Self {
         let mut rng = SplitMix64::new(seed ^ stream.wrapping_mul(0xD1B5_4A32_D192_ED03));
         rng.next_u64();
@@ -32,6 +42,7 @@ impl SplitMix64 {
     }
 
     /// Next raw 64-bit value.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -41,33 +52,39 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, 1)`.
+    #[inline]
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// Uniform integer in `[lo, hi)` (`hi > lo`).
+    #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(hi > lo);
         lo + self.next_u64() % (hi - lo)
     }
 
     /// Bernoulli trial.
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         self.uniform() < p
     }
 
     /// Exponentially distributed value with the given mean.
+    #[inline]
     pub fn exponential(&mut self, mean: f64) -> f64 {
         let u = self.uniform().max(f64::MIN_POSITIVE);
         -mean * u.ln()
     }
 
     /// Pick one element of a non-empty slice.
+    #[inline]
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.range(0, items.len() as u64) as usize]
     }
 
     /// Fork an independent stream (for sub-components).
+    #[inline]
     pub fn fork(&mut self) -> SplitMix64 {
         SplitMix64::new(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
     }

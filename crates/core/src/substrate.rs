@@ -3,8 +3,8 @@
 //!
 //! A [`crate::node::NodeState`] emits [`Output`]s; something must transport
 //! the messages, fire the timers and hand application events to the local
-//! app. That "something" — a discrete-event simulator, a thread-per-node
-//! live runtime, a future socket deployment — is a [`Substrate`]. The
+//! app. That "something" — a discrete-event simulator, a live reactor
+//! pool, a future socket deployment — is a [`Substrate`]. The
 //! [`apply_outputs`] driver interprets a batch of outputs against a
 //! substrate uniformly, so every execution backend applies protocol outputs
 //! the *same way*, including wire-encoding each [`Output::Send`] into an

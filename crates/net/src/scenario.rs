@@ -32,11 +32,11 @@ use crate::reactor::{LiveConfig, TickClock};
 use rgb_core::prelude::*;
 use rgb_sim::backend::LiveRuntime;
 use rgb_sim::engine::{Engine, EngineCounters};
-use rgb_sim::scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome};
-use std::collections::{BTreeMap, BTreeSet};
+use rgb_sim::scenario::{PlannedAction, Scenario, ScenarioError, ScenarioOutcome};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-/// One timeline entry, ordered by (time, insertion index).
+/// One timeline entry.
 enum Action {
     PartitionStart(NodeId, NodeId),
     PartitionHeal(NodeId, NodeId),
@@ -58,9 +58,9 @@ pub struct LiveEngine {
     cluster: Cluster,
     tick: Duration,
     start: Instant,
-    /// The timeline, earliest first ((tick, insertion index) order);
-    /// applied entries are taken out of their slot.
-    timeline: Vec<(u64, usize, Option<Action>)>,
+    /// The timeline, earliest first (same-tick entries in the order of
+    /// [`Scenario::plan`]); applied entries are taken out of their slot.
+    timeline: Vec<(u64, Option<Action>)>,
     applied: usize,
     crashed: BTreeSet<NodeId>,
     expected: BTreeSet<Guid>,
@@ -80,33 +80,23 @@ impl LiveEngine {
             ScenarioError::Backend { scenario: scenario.name.clone(), reason: e.to_string() }
         })?;
 
-        // Merge the schedules into one stable-ordered timeline. The
-        // insertion order (partition transitions, then crashes, then MH
-        // events, then queries) mirrors the canonical priming order of
-        // `Scenario::prime`, so same-tick ties resolve identically on
-        // every backend — a partition starting at the same tick as a crash
-        // severs the link first in both worlds.
-        let mut timeline: Vec<(u64, usize, Option<Action>)> = Vec::new();
-        let push = |timeline: &mut Vec<(u64, usize, Option<Action>)>, t: u64, action: Action| {
-            let idx = timeline.len();
-            timeline.push((t, idx, Some(action)));
-        };
-        for p in &scenario.partitions {
-            push(&mut timeline, p.at, Action::PartitionStart(p.a, p.b));
-            push(&mut timeline, p.heal_at, Action::PartitionHeal(p.a, p.b));
+        // The canonical schedule, each partition window expanded into its
+        // two transitions; the stable sort by tick keeps the canonical
+        // order among same-tick entries.
+        let mut timeline = Vec::new();
+        for action in scenario.plan() {
+            let (t, action) = match action {
+                PlannedAction::Partition(p) => {
+                    timeline.push((p.at, Some(Action::PartitionStart(p.a, p.b))));
+                    (p.heal_at, Action::PartitionHeal(p.a, p.b))
+                }
+                PlannedAction::Crash(c) => (c.at, Action::Crash(c.node)),
+                PlannedAction::Mh((t, ap, event)) => (t, Action::Mh(ap, event)),
+                PlannedAction::Query(q) => (q.at, Action::Query(q.node, q.scope)),
+            };
+            timeline.push((t, Some(action)));
         }
-        for c in &scenario.crashes {
-            push(&mut timeline, c.at, Action::Crash(c.node));
-        }
-        let mut mh_schedule = scenario.mh_schedule.clone();
-        mh_schedule.sort_by_key(|&(t, ap, _)| (t, ap));
-        for (t, ap, event) in mh_schedule {
-            push(&mut timeline, t, Action::Mh(ap, event));
-        }
-        for q in &scenario.queries {
-            push(&mut timeline, q.at, Action::Query(q.node, q.scope));
-        }
-        timeline.sort_by_key(|&(t, idx, _)| (t, idx));
+        timeline.sort_by_key(|&(t, _)| t);
 
         let root_nodes = cluster.layout.root_ring().nodes.clone();
         Ok(LiveEngine {
@@ -155,7 +145,7 @@ impl LiveEngine {
             let converged = alive.iter().all(|&n| {
                 self.cluster
                     .snapshot(n, Duration::from_millis(500))
-                    .map(|s| operational_guids(&s.ring_members) == self.expected)
+                    .map(|s| s.digest.members == self.expected)
                     .unwrap_or(false)
             });
             if converged {
@@ -169,18 +159,9 @@ impl LiveEngine {
     }
 
     /// Collect every alive node's final view into the substrate-neutral
-    /// outcome shape.
+    /// outcome shape (a projection of [`Engine::system_digest`]).
     pub fn outcome(&self) -> ScenarioOutcome {
-        let mut views: BTreeMap<NodeId, BTreeSet<Guid>> = BTreeMap::new();
-        for &id in self.cluster.layout.nodes.keys() {
-            if self.crashed.contains(&id) {
-                continue;
-            }
-            if let Some(snap) = self.cluster.snapshot(id, Duration::from_secs(1)) {
-                views.insert(id, operational_guids(&snap.ring_members));
-            }
-        }
-        ScenarioOutcome { views, crashed: self.crashed.clone() }
+        ScenarioOutcome::from(&self.system_digest(false))
     }
 
     /// Stop the reactor pool.
@@ -207,7 +188,7 @@ impl Engine for LiveEngine {
             // Apply *every* action scheduled at tick t before sleeping
             // again.
             while self.applied < self.timeline.len() && self.timeline[self.applied].0 == t {
-                let action = self.timeline[self.applied].2.take();
+                let action = self.timeline[self.applied].1.take();
                 self.applied += 1;
                 if let Some(action) = action {
                     self.apply(action);
@@ -275,19 +256,15 @@ impl LiveRuntime for LiveConfig {
     /// settle, collect, shut down. The digest's `settled` flag carries the
     /// settle loop's verdict, so quiescence-gated oracles never judge a
     /// cluster that was still moving when the budget ran out.
-    fn run_live(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioOutcome, SystemDigest), ScenarioError> {
+    fn run_live(&self, scenario: &Scenario) -> Result<SystemDigest, ScenarioError> {
         let mut engine = LiveEngine::new(scenario, self)?;
         engine.run_until(scenario.duration);
         let settled = engine.settle();
-        let outcome = engine.outcome();
         let mut digest = engine.system_digest(settled);
         // Report the nominal scenario time, not the (longer) wall-clock
         // tick estimate after settling.
         digest.now = scenario.duration;
         engine.shutdown();
-        Ok((outcome, digest))
+        Ok(digest)
     }
 }

@@ -14,7 +14,7 @@
 //! implements it, so `sc.run_on(Backend::Live(&live_config))` is the whole
 //! story for callers that link both crates.
 
-use crate::scenario::{Scenario, ScenarioError, ScenarioOutcome};
+use crate::scenario::{Scenario, ScenarioError};
 use rgb_core::prelude::SystemDigest;
 use std::fmt;
 
@@ -27,11 +27,10 @@ use std::fmt;
 /// still moving.
 pub trait LiveRuntime {
     /// Deploy `scenario`, replay its timeline in wall-clock time, and
-    /// collect the final views and system digest.
-    fn run_live(
-        &self,
-        scenario: &Scenario,
-    ) -> Result<(ScenarioOutcome, SystemDigest), ScenarioError>;
+    /// collect the final system digest (the run's
+    /// [`ScenarioOutcome`](crate::scenario::ScenarioOutcome) is its
+    /// projection).
+    fn run_live(&self, scenario: &Scenario) -> Result<SystemDigest, ScenarioError>;
 }
 
 /// Where [`Scenario::run_on`](crate::scenario::Scenario::run_on) executes.
@@ -64,10 +63,7 @@ mod tests {
     fn backend_debug_is_compact() {
         struct Never;
         impl LiveRuntime for Never {
-            fn run_live(
-                &self,
-                _scenario: &Scenario,
-            ) -> Result<(ScenarioOutcome, SystemDigest), ScenarioError> {
+            fn run_live(&self, _scenario: &Scenario) -> Result<SystemDigest, ScenarioError> {
                 unreachable!("never run")
             }
         }

@@ -34,7 +34,6 @@ pub mod oracle;
 pub mod par;
 pub mod presets;
 mod queue;
-pub mod rng;
 pub mod scenario;
 pub mod sim;
 pub mod workload;
@@ -50,7 +49,10 @@ pub use network::{LatencyBand, LinkClass, LinkClassMatrix, NetConfig, NetworkMod
 pub use obs::{obs_json, prometheus_text, shard_loads_json, ObsReport, Timeline, TimelineEntry};
 pub use oracle::check_ring_consistency;
 pub use par::ParSimulation;
-pub use rng::SplitMix64;
-pub use scenario::{operational_guids, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};
+// The simulator's generator lives in `rgb_core`, so the Monte-Carlo
+// estimator of `rgb-analysis` draws from the same code; re-exported here,
+// module path included, for the simulator's users.
+pub use rgb_core::rng::{self, SplitMix64};
+pub use scenario::{PlannedAction, Scenario, ScenarioError, ScenarioOutcome, TimedQuery};
 pub use sim::{MemoryStats, Simulation};
 pub use workload::{churn, expected_members, ChurnParams};

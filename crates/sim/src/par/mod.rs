@@ -697,15 +697,6 @@ impl ParSimulation {
         self.crash_log.iter().filter(|&&(at, _)| at <= self.now).map(|&(_, n)| n).collect()
     }
 
-    /// Final membership views (the substrate-independent
-    /// [`ScenarioOutcome`](crate::scenario::ScenarioOutcome) content).
-    pub fn views(&self) -> std::collections::BTreeMap<NodeId, BTreeSet<Guid>> {
-        (self.shards.iter())
-            .flat_map(|s| s.world.alive())
-            .map(|(_, node)| (node.id, crate::scenario::operational_guids(&node.ring_members)))
-            .collect()
-    }
-
     /// Every node's protocol state, in id order (cold path: gathers across
     /// shards).
     pub fn nodes_iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> + '_ {

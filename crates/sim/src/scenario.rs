@@ -130,6 +130,21 @@ pub struct TimedQuery {
     pub scope: QueryScope,
 }
 
+/// One entry of a scenario's schedule, as [`Scenario::plan`] lists them.
+/// A partition window stays whole: the simulators schedule both of its
+/// transitions from one entry, and the live runner expands it into two.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlannedAction {
+    /// A timed link partition.
+    Partition(LinkPartition),
+    /// An NE crash.
+    Crash(PlannedCrash),
+    /// A mobile-host event.
+    Mh(TimedEvent),
+    /// A membership query.
+    Query(TimedQuery),
+}
+
 /// A complete, substrate-independent experiment definition.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
@@ -155,7 +170,7 @@ pub struct Scenario {
     /// applies the same windows to its router.
     pub partitions: Vec<LinkPartition>,
     /// Mobile-host events (joins, leaves, handoffs, failures), time-sorted
-    /// by [`Scenario::build_sim`] before scheduling.
+    /// by [`Scenario::plan`] before scheduling.
     pub mh_schedule: Vec<TimedEvent>,
     /// Scheduled membership queries.
     pub queries: Vec<TimedQuery>,
@@ -401,32 +416,48 @@ impl Scenario {
     /// (joins/handoffs/resumes minus leaves/failures/disconnects), for
     /// oracle checks and settle loops.
     pub fn expected_guids(&self) -> BTreeSet<Guid> {
-        let mut schedule = self.mh_schedule.clone();
-        schedule.sort_by_key(|&(t, ap, _)| (t, ap));
         let mut present = BTreeSet::new();
-        for (_, _, event) in &schedule {
+        for action in self.plan() {
+            let PlannedAction::Mh((_, _, event)) = action else { continue };
             match event {
                 MhEvent::Join { guid, .. }
                 | MhEvent::HandoffIn { guid, .. }
                 | MhEvent::Resume { guid, .. } => {
-                    present.insert(*guid);
+                    present.insert(guid);
                 }
                 MhEvent::Leave { guid }
                 | MhEvent::FailureDetected { guid }
                 | MhEvent::Disconnect { guid } => {
-                    present.remove(guid);
+                    present.remove(&guid);
                 }
             }
         }
         present
     }
 
+    /// The whole schedule in the one canonical order: partition windows,
+    /// then crashes, then MH events sorted by `(time, AP)` (a stable sort,
+    /// so same-key events keep their insertion order), then queries.
+    ///
+    /// Every backend reads its schedule from here, which is what gives them
+    /// identical same-tick semantics: the simulators prime their queues in
+    /// this order through one private priming function (so scheduled
+    /// events carry identical deterministic keys in the sequential and the
+    /// parallel engine), and the live runner replays it as a timeline stably sorted by tick,
+    /// so a partition starting at the same tick as a crash severs the link
+    /// first in every world.
+    pub fn plan(&self) -> impl Iterator<Item = PlannedAction> + '_ {
+        let mut mh = self.mh_schedule.clone();
+        mh.sort_by_key(|&(t, ap, _)| (t, ap));
+        (self.partitions.iter().map(|&p| PlannedAction::Partition(p)))
+            .chain(self.crashes.iter().map(|&c| PlannedAction::Crash(c)))
+            .chain(mh.into_iter().map(PlannedAction::Mh))
+            .chain(self.queries.iter().map(|&q| PlannedAction::Query(q)))
+    }
+
     /// Build a booted simulation with the entire schedule primed.
     ///
-    /// Same-tick ties resolve in schedule order: partition transitions,
-    /// then crashes, then MH events, then queries (the live runner replays
-    /// the timeline in the same order, so both substrates see identical
-    /// same-tick semantics).
+    /// Same-tick ties resolve in the order of [`Scenario::plan`].
     ///
     /// # Panics
     ///
@@ -446,10 +477,9 @@ impl Scenario {
         Ok(sim)
     }
 
-    /// Boot `sim` and prime the entire schedule, in the one canonical
-    /// order (partition transitions, then crashes, then time-sorted MH
-    /// events, then queries). Every engine builds through this single
-    /// function — that is what *guarantees* scheduled events carry
+    /// Boot `sim` and prime the entire schedule, in the order of
+    /// [`Scenario::plan`]. Every simulator engine builds through this
+    /// single function — that is what *guarantees* scheduled events carry
     /// identical deterministic keys in the sequential and the parallel
     /// engine (their schedule counters advance through the same calls in
     /// the same order), rather than two builders promising to stay in
@@ -459,19 +489,13 @@ impl Scenario {
             sim.set_delivered_cap(cap);
         }
         sim.boot_all();
-        for p in &self.partitions {
-            sim.schedule_partition(*p);
-        }
-        for c in &self.crashes {
-            sim.crash_at(c.at, c.node);
-        }
-        let mut schedule = self.mh_schedule.clone();
-        schedule.sort_by_key(|&(t, ap, _)| (t, ap));
-        for (at, ap, event) in schedule {
-            sim.schedule_mh(at, ap, event);
-        }
-        for q in &self.queries {
-            sim.schedule_query(q.at, q.node, q.scope);
+        for action in self.plan() {
+            match action {
+                PlannedAction::Partition(p) => sim.schedule_partition(p),
+                PlannedAction::Crash(c) => sim.crash_at(c.at, c.node),
+                PlannedAction::Mh((at, ap, event)) => sim.schedule_mh(at, ap, event),
+                PlannedAction::Query(q) => sim.schedule_query(q.at, q.node, q.scope),
+            }
         }
     }
 
@@ -496,21 +520,20 @@ impl Scenario {
         &self,
         backend: Backend<'_>,
     ) -> Result<(ScenarioOutcome, SystemDigest), ScenarioError> {
-        match backend {
+        let digest = match backend {
             Backend::Sim => {
                 let mut sim = self.try_build_sim()?;
                 sim.run_until(self.duration);
-                let settled = sim.pending_disruptions() == 0;
-                Ok((ScenarioOutcome::from_sim(&sim), sim.system_digest(settled)))
+                sim.system_digest(sim.pending_disruptions() == 0)
             }
             Backend::Par(shards) => {
                 let mut sim = self.try_build_par(shards)?;
                 sim.run_until(self.duration);
-                let settled = sim.pending_disruptions() == 0;
-                Ok((ScenarioOutcome::from_par(&sim), sim.system_digest(settled)))
+                sim.system_digest(sim.pending_disruptions() == 0)
             }
-            Backend::Live(runtime) => runtime.run_live(self),
-        }
+            Backend::Live(runtime) => runtime.run_live(self)?,
+        };
+        Ok((ScenarioOutcome::from(&digest), digest))
     }
 
     /// Build a booted [`ParSimulation`] with the entire schedule primed —
@@ -632,25 +655,26 @@ pub struct ScenarioOutcome {
     pub crashed: BTreeSet<NodeId>,
 }
 
-/// The operational GUIDs of a member list (the view a node would report).
-pub fn operational_guids(list: &MemberList) -> BTreeSet<Guid> {
-    list.iter().filter(|m| m.status == MemberStatus::Operational).map(|m| m.guid).collect()
+/// The outcome is a projection of the digest: [`StateDigest::members`]
+/// already holds each alive node's operational GUIDs.
+impl From<&SystemDigest> for ScenarioOutcome {
+    fn from(digest: &SystemDigest) -> Self {
+        ScenarioOutcome {
+            views: digest.nodes.iter().map(|d| (d.node, d.members.clone())).collect(),
+            crashed: digest.crashed.clone(),
+        }
+    }
 }
 
 impl ScenarioOutcome {
     /// Collect the outcome of a finished simulation run.
     pub fn from_sim(sim: &Simulation) -> Self {
-        let views = sim
-            .nodes_iter()
-            .filter(|&(id, _)| !sim.is_crashed(id))
-            .map(|(id, state)| (id, operational_guids(&state.ring_members)))
-            .collect();
-        ScenarioOutcome { views, crashed: sim.crashed_set().clone() }
+        ScenarioOutcome::from(&sim.system_digest(false))
     }
 
     /// Collect the outcome of a finished parallel run.
     pub fn from_par(sim: &ParSimulation) -> Self {
-        ScenarioOutcome { views: sim.views(), crashed: sim.crashed_set() }
+        ScenarioOutcome::from(&sim.system_digest(false))
     }
 
     /// If every listed (alive) node holds the same view, return it.
@@ -820,6 +844,35 @@ mod tests {
             .partition(5, 50, nodes[0], nodes[2])
             .query(100, nodes[0], QueryScope::Global);
         assert_eq!(sc.scheduled_events(), 4);
+    }
+
+    #[test]
+    fn plan_lists_the_canonical_order() {
+        let sc = Scenario::new("order", 1, 3).with_duration(1_000);
+        let nodes = sc.layout().root_ring().nodes.clone();
+        let q = TimedQuery { at: 10, node: nodes[0], scope: QueryScope::Global };
+        let join = |g: u64| MhEvent::Join { guid: Guid(g), luid: Luid(1) };
+        // Inserted out of order, with a partition, a crash, a join and a
+        // query all at tick 10.
+        let sc = sc
+            .query(q.at, q.node, q.scope)
+            .mh(10, nodes[2], join(2))
+            .mh(5, nodes[1], join(1))
+            .mh(10, nodes[0], join(3))
+            .crash(10, nodes[2])
+            .partition(10, 20, nodes[0], nodes[1]);
+        let window = LinkPartition { at: 10, heal_at: 20, a: nodes[0], b: nodes[1] };
+        assert_eq!(
+            sc.plan().collect::<Vec<_>>(),
+            [
+                PlannedAction::Partition(window),
+                PlannedAction::Crash(PlannedCrash { at: 10, node: nodes[2] }),
+                PlannedAction::Mh((5, nodes[1], join(1))),
+                PlannedAction::Mh((10, nodes[0], join(3))),
+                PlannedAction::Mh((10, nodes[2], join(2))),
+                PlannedAction::Query(q),
+            ]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! `crates/net/tests/repro_replay.rs`, which replays the identical value.
 
 use rgb_core::prelude::*;
-use rgb_sim::{operational_guids, Scenario};
+use rgb_sim::Scenario;
 
 #[test]
 fn post_repair_ring_agreement_after_leader_crash_mid_handoff() {
@@ -34,6 +34,8 @@ fn post_repair_ring_agreement_after_leader_crash_mid_handoff() {
 
     let mut sim = sc.build_sim();
     sim.run_until(sc.duration);
+    // The operational GUIDs a node reports.
+    let view = |n: NodeId| sim.node(n).digest().members;
 
     // The dead leader was excluded from the ring by local repair.
     let alive_bottom: Vec<NodeId> =
@@ -48,11 +50,11 @@ fn post_repair_ring_agreement_after_leader_crash_mid_handoff() {
     // registered at the second proxy).
     let expected = sc.expected_guids();
     assert_eq!(expected, [Guid(1), Guid(2)].into_iter().collect());
-    let reference = operational_guids(&sim.node(alive_bottom[0]).ring_members);
+    let reference = view(alive_bottom[0]);
     assert_eq!(reference, expected, "bottom ring lost a member across the repair");
     for &n in &alive_bottom[1..] {
         assert_eq!(
-            operational_guids(&sim.node(n).ring_members),
+            view(n),
             reference,
             "bottom-ring views diverge between {} and {n}",
             alive_bottom[0]
@@ -64,9 +66,9 @@ fn post_repair_ring_agreement_after_leader_crash_mid_handoff() {
 
     // And the root ring agrees on the global view (TMS store level).
     let root = layout.root_ring().nodes.clone();
-    let root_ref = operational_guids(&sim.node(root[0]).ring_members);
+    let root_ref = view(root[0]);
     assert_eq!(root_ref, expected, "root view lost a member across the repair");
     for &n in &root[1..] {
-        assert_eq!(operational_guids(&sim.node(n).ring_members), root_ref);
+        assert_eq!(view(n), root_ref);
     }
 }

@@ -439,13 +439,13 @@ impl Scenario {
     /// then crashes, then MH events sorted by `(time, AP)` (a stable sort,
     /// so same-key events keep their insertion order), then queries.
     ///
-    /// Every backend reads its schedule from here, which is what gives them
+    /// Every backend reads its schedule from here, which gives them
     /// identical same-tick semantics: the simulators prime their queues in
-    /// this order through one private priming function (so scheduled
-    /// events carry identical deterministic keys in the sequential and the
-    /// parallel engine), and the live runner replays it as a timeline stably sorted by tick,
-    /// so a partition starting at the same tick as a crash severs the link
-    /// first in every world.
+    /// this order (so scheduled events carry identical deterministic keys
+    /// in the sequential and the parallel engine), and the live runner
+    /// replays it as a timeline stably sorted by tick, so a partition
+    /// starting at the same tick as a crash severs the link first in every
+    /// world.
     pub fn plan(&self) -> impl Iterator<Item = PlannedAction> + '_ {
         let mut mh = self.mh_schedule.clone();
         mh.sort_by_key(|&(t, ap, _)| (t, ap));

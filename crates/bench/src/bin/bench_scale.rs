@@ -34,7 +34,7 @@
 //!   4-shard engine — flight recorder per shard, periodic timeline
 //!   samples, per-ring-level latency histograms — and writes the
 //!   `rgb-obs v1` JSON document there plus a Prometheus text sibling at
-//!   `OBS.json.prom`. The sweep's own timings are never polluted: the
+//!   `OBS.prom`. The sweep's own timings are never polluted: the
 //!   obs pass is a separate run.
 //! - `--budget-secs` fails the run if the whole sweep (digest check
 //!   included) exceeds the budget — the CI job's time box.
@@ -69,8 +69,8 @@ use rgb_core::obs::{FlightRecorder, TraceSink};
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::{
-    obs_json, prometheus_text, shard_loads_json, ChurnParams, LatencyBand, Metrics, NetConfig,
-    ObsReport, ParStats, Scenario, ShardLoad, Simulation, Timeline,
+    shard_loads_json, write_obs, ChurnParams, LatencyBand, Metrics, NetConfig, ObsReport, ParStats,
+    Scenario, ShardLoad, Simulation, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -282,9 +282,9 @@ fn run_par(scenario: &Scenario, shards: usize, runs: usize) -> Measurement {
 
 /// One extra obs-instrumented pass on the parallel engine: a flight
 /// recorder per shard, timeline samples every `duration/20` ticks, and
-/// the per-ring-level latency surfaces — written as the `rgb-obs v1`
-/// JSON document at `path` plus a Prometheus text sibling at
-/// `path.prom`. Run separately so the sweep's timings stay clean.
+/// the per-ring-level latency surfaces — written by [`write_obs`] as the
+/// `rgb-obs v1` JSON document at `path` plus a Prometheus text sibling.
+/// Run separately so the sweep's timings stay clean.
 fn run_obs(scenario: &Scenario, shards: usize, path: &str) {
     const TRACE_CAP: usize = 4096;
     const SLICES: u64 = 20;
@@ -314,12 +314,11 @@ fn run_obs(scenario: &Scenario, shards: usize, path: &str) {
         trace_dropped: sim.trace_dropped(),
         shards: &shard_loads,
     };
-    std::fs::write(path, obs_json(&report)).expect("write obs json");
-    let prom_path = format!("{path}.prom");
-    std::fs::write(&prom_path, prometheus_text(&metrics)).expect("write obs prometheus text");
+    let prom = write_obs(path.as_ref(), &report).expect("write obs documents");
     eprintln!(
-        "  obs: wrote {path} and {prom_path} ({} trace records, {} evicted; repair p50 {:?} / \
-         p99 {:?} ticks)",
+        "  obs: wrote {path} and {} ({} trace records, {} evicted; repair p50 {:?} / p99 {:?} \
+         ticks)",
+        prom.display(),
         trace.len(),
         report.trace_dropped,
         metrics.levels.repair_quantile(0.5),

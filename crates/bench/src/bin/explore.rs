@@ -61,7 +61,8 @@
 //!   engine, verifies the digest streams stay byte-identical with obs on,
 //!   and writes the parallel run's `rgb-obs v1` JSON document to
 //!   `--obs-out FILE` (stdout when omitted) plus a Prometheus-style
-//!   `FILE.prom` sibling — the CI `obs-smoke` job's entry point.
+//!   sibling (`obs.json` → `obs.prom`) — the CI `obs-smoke` job's entry
+//!   point.
 //! - `--time-budget-secs` stops cleanly (exit 0) once the budget is
 //!   spent, reporting how many seeds were covered; the nightly job uses
 //!   it to stay time-boxed.
@@ -620,7 +621,7 @@ fn write_presets(dir: &Path) {
 /// document plus a Prometheus-style text sibling.
 fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
     use rgb_core::obs::{FlightRecorder, TraceSink};
-    use rgb_sim::{obs_json, prometheus_text, ObsReport, Timeline};
+    use rgb_sim::{obs_json, write_obs, ObsReport, Timeline};
 
     /// Per-engine flight-recorder capacity (the par engine gets one per
     /// shard; the snapshot is the sorted concatenation).
@@ -689,9 +690,7 @@ fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
     );
     match out {
         Some(path) => {
-            std::fs::write(path, obs_json(&report)).expect("write obs json");
-            let prom = path.with_extension("prom");
-            std::fs::write(&prom, prometheus_text(&metrics)).expect("write obs prometheus text");
+            let prom = write_obs(path, &report).expect("write obs documents");
             println!("obs documents written to {} and {}", path.display(), prom.display());
         }
         None => print!("{}", obs_json(&report)),

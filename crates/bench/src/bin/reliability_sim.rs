@@ -13,7 +13,7 @@
 //!
 //! With `--obs-out`, one representative E9c fault run is re-executed with
 //! the observability layer enabled and exported as an `rgb-obs v1` JSON
-//! document (plus a Prometheus-style `OBS.json.prom` sibling) — repair
+//! document (plus a Prometheus-style `OBS.prom` sibling) — repair
 //! latency per ring level under Bernoulli faults is the surface E16
 //! reads.
 
@@ -86,7 +86,7 @@ fn protocol_fault_trial(f: f64, seed: u64) -> bool {
 /// per-ring-level latency histograms, and protocol trace.
 fn write_obs(path: &str) {
     use rgb_core::obs::FlightRecorder;
-    use rgb_sim::{obs_json, prometheus_text, ObsReport, Timeline};
+    use rgb_sim::{ObsReport, Timeline};
 
     let scenario = fault_scenario(0.05, 1_000);
     let mut sim = scenario.try_build_sim().expect("valid scenario");
@@ -112,11 +112,10 @@ fn write_obs(path: &str) {
         trace_dropped: sim.trace_dropped(),
         shards: &[],
     };
-    std::fs::write(path, obs_json(&report)).expect("write obs json");
-    let prom = format!("{path}.prom");
-    std::fs::write(&prom, prometheus_text(&sim.metrics)).expect("write obs prometheus text");
+    let prom = rgb_sim::write_obs(path.as_ref(), &report).expect("write obs documents");
     println!(
-        "\nobs: wrote {path} and {prom} ({} trace records; repair p50 {:?} / p99 {:?} ticks)",
+        "\nobs: wrote {path} and {} ({} trace records; repair p50 {:?} / p99 {:?} ticks)",
+        prom.display(),
         trace.len(),
         sim.metrics.levels.repair_quantile(0.5),
         sim.metrics.levels.repair_quantile(0.99)

@@ -44,18 +44,17 @@ pub fn measure_change(h: usize, r: usize, net: NetConfig, seed: u64) -> ChangeCo
     let root = layout.root_ring().nodes[0];
     let scenario = scenario.join(0, ap, Guid(99_999), Luid(1));
     let mut sim = scenario.build_sim();
-    let before = sim.metrics.snapshot();
+    let before = sim.metrics.clone();
     let t0 = sim.now;
     let reached_root = sim
         .run_until_pred(u64::MAX / 2, |s| s.member_at(root, Guid(99_999)))
         .expect("join reaches root");
     assert!(sim.run_until_quiet(500_000_000), "simulation did not quiesce");
-    let token_hops =
-        sim.metrics.sent("token") - before.sent_by_label.get("token").copied().unwrap_or(0);
+    let after = &sim.metrics;
     ChangeCost {
-        proposal_hops: sim.metrics.proposal_hops() - before.proposal_hops,
-        total_msgs: sim.metrics.sent_total - before.sent_total,
-        token_hops,
+        proposal_hops: after.proposal_hops() - before.proposal_hops(),
+        total_msgs: after.sent_total - before.sent_total,
+        token_hops: after.sent_label(MsgLabel::Token) - before.sent_label(MsgLabel::Token),
         latency_to_root: reached_root - t0,
         latency_total: sim.now - t0,
     }

@@ -10,7 +10,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::error::{Result, RgbError};
-use crate::events::{Input, Output, TimerKind};
+use crate::events::{Input, Output};
 use crate::ids::{GroupId, NodeId};
 use crate::message::Envelope;
 use crate::node::NodeState;
@@ -104,11 +104,6 @@ impl GroupHost {
                 .collect(),
             None => Vec::new(),
         }
-    }
-
-    /// Fire a timer scoped to one group.
-    pub fn handle_timer(&mut self, gid: GroupId, kind: TimerKind) -> Vec<HostOutput> {
-        self.handle(gid, Input::Timer(kind)).unwrap_or_default()
     }
 
     /// Boot every group.

@@ -269,11 +269,6 @@ impl NodeState {
         self.level + 1 == self.height
     }
 
-    /// `ChildOK` for a specific ring.
-    pub fn child_ok(&self, ring: RingId) -> bool {
-        self.children.get(&ring).map(|c| c.ok).unwrap_or(false)
-    }
-
     /// Whether this node's ring stores member lists under the configured
     /// membership scheme (§4.4). The bottommost level always keeps its own
     /// coverage; upper levels store only where the scheme places them.

@@ -107,16 +107,6 @@ impl Loopback {
         true
     }
 
-    /// Drain the message queue completely (no time passes).
-    pub fn drain_messages(&mut self) -> usize {
-        let mut n = 0;
-        while self.step_message() {
-            n += 1;
-            assert!(n < 10_000_000, "message storm: protocol is not quiescing");
-        }
-        n
-    }
-
     /// Fire the earliest pending timer (advancing logical time to it).
     /// Returns whether a timer existed.
     pub fn fire_next_timer(&mut self) -> bool {

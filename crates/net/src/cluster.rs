@@ -38,7 +38,6 @@ pub struct Cluster {
     pub layout: HierarchyLayout,
     router: Router,
     events_rx: Receiver<(NodeId, AppEvent)>,
-    events_tx: Sender<(NodeId, AppEvent)>,
     worker_txs: Vec<Sender<ToWorker>>,
     worker_nodes: Vec<usize>,
     handles: Vec<JoinHandle<()>>,
@@ -140,7 +139,6 @@ impl Cluster {
             layout,
             router,
             events_rx,
-            events_tx,
             worker_txs,
             worker_nodes,
             handles,
@@ -276,11 +274,6 @@ impl Cluster {
     /// windows during scenario replay.
     pub fn set_partition(&self, a: NodeId, b: NodeId, severed: bool) {
         self.router.set_partition(a, b, severed);
-    }
-
-    /// A clone of the event sender (lets tests inject synthetic events).
-    pub fn event_sender(&self) -> Sender<(NodeId, AppEvent)> {
-        self.events_tx.clone()
     }
 
     /// Stop every worker and join the pool.

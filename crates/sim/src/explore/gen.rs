@@ -253,11 +253,6 @@ impl ScenarioGen {
         ScenarioGen { master_seed, limits: GenLimits::large() }
     }
 
-    /// Generator with explicit limits.
-    pub fn with_limits(master_seed: u64, limits: GenLimits) -> Self {
-        ScenarioGen { master_seed, limits }
-    }
-
     /// The limits in force.
     pub fn limits(&self) -> GenLimits {
         self.limits

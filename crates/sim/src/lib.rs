@@ -43,10 +43,12 @@ pub use backend::{Backend, LiveRuntime};
 pub use engine::{Engine, EngineCounters};
 pub use explore::{Exploration, Explorer, FoundViolation, Oracle, ScenarioGen, Violation};
 pub use fault::{bernoulli_crashes, crash_in_ring, PlannedCrash};
-pub use metrics::{Histogram, Metrics, MetricsSnapshot, ParStats, ShardLoad};
+pub use metrics::{Histogram, Metrics, ParStats, ShardLoad};
 pub use mobility::{MobilityModel, TimedEvent};
 pub use network::{LatencyBand, LinkClass, LinkClassMatrix, NetConfig, NetworkModel};
-pub use obs::{obs_json, prometheus_text, shard_loads_json, ObsReport, Timeline, TimelineEntry};
+pub use obs::{
+    obs_json, prometheus_text, shard_loads_json, write_obs, ObsReport, Timeline, TimelineEntry,
+};
 pub use oracle::check_ring_consistency;
 pub use par::ParSimulation;
 // The simulator's generator lives in `rgb_core`, so the Monte-Carlo

@@ -134,8 +134,6 @@ pub struct Metrics {
     /// counters this is the event mix of a run: what `step()` spent its
     /// pops on.
     timer_fires: [u64; TimerKind::COUNT],
-    /// Per-change end-to-end latency (injection → root execution).
-    pub change_latency: Histogram,
     /// Per-query latency (request → result).
     pub query_latency: Histogram,
     /// Per-ring-level latency surfaces (join agreement, repair/handoff
@@ -178,11 +176,6 @@ impl Metrics {
     /// Unknown labels count 0.
     pub fn sent(&self, label: &str) -> u64 {
         MsgLabel::from_name(label).map(|l| self.sent_label(l)).unwrap_or(0)
-    }
-
-    /// Sum over a set of labels.
-    pub fn sent_any(&self, labels: &[&str]) -> u64 {
-        labels.iter().map(|l| self.sent(l)).sum()
     }
 
     /// Count of one link class.
@@ -252,44 +245,9 @@ impl Metrics {
         for (slot, v) in self.timer_fires.iter_mut().zip(other.timer_fires) {
             *slot += v;
         }
-        self.change_latency.merge(&other.change_latency);
         self.query_latency.merge(&other.query_latency);
         self.levels.merge(&other.levels);
         self.par.merge(&other.par);
-    }
-
-    /// Take a snapshot of the counter totals (for differencing).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            sent_total: self.sent_total,
-            proposal_hops: self.proposal_hops(),
-            sent_by_label: self.by_label(),
-        }
-    }
-}
-
-/// A point-in-time copy of the counters.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// Total messages at snapshot time.
-    pub sent_total: u64,
-    /// Proposal hops at snapshot time.
-    pub proposal_hops: u64,
-    /// Per-label counts at snapshot time.
-    pub sent_by_label: BTreeMap<&'static str, u64>,
-}
-
-impl MetricsSnapshot {
-    /// Per-label difference `now - self`.
-    pub fn delta(&self, now: &Metrics) -> BTreeMap<&'static str, u64> {
-        let mut out = BTreeMap::new();
-        for (label, count) in now.by_label() {
-            let before = self.sent_by_label.get(label).copied().unwrap_or(0);
-            if count > before {
-                out.insert(label, count - before);
-            }
-        }
-        out
     }
 }
 
@@ -338,13 +296,13 @@ mod tests {
         assert_eq!(m.sent_class(LinkClass::IntraRing), 20);
         assert_eq!(m.sent_class(LinkClass::Wireless), 0);
         assert_eq!(m.by_class().count(), 2, "only non-zero classes listed");
-        let snap = m.snapshot();
+        let before = m.clone();
         for _ in 0..5 {
             m.record_send(MsgLabel::Token, LinkClass::IntraRing);
         }
-        let delta = snap.delta(&m);
-        assert_eq!(delta.get("token"), Some(&5));
-        assert_eq!(delta.get("token_ack"), None);
+        assert_eq!(m.sent("token") - before.sent("token"), 5);
+        assert_eq!(m.sent("token_ack") - before.sent("token_ack"), 0);
+        assert_eq!(m.proposal_hops() - before.proposal_hops(), 5);
     }
 
     #[test]
@@ -386,7 +344,6 @@ mod tests {
                     m.record_timer_fire(kind);
                 }
             }
-            m.change_latency.record(base + 29);
             m.query_latency.record(base + 31);
             m.query_latency.record(base + 37);
             m.par.windows = base + 41;
@@ -445,7 +402,6 @@ mod tests {
         assert_eq!(merged.par.flush_nanos, a.par.flush_nanos + b.par.flush_nanos);
         assert_eq!(merged.par.barrier_nanos, a.par.barrier_nanos + b.par.barrier_nanos);
         assert_eq!(merged.par.drain_nanos, a.par.drain_nanos + b.par.drain_nanos);
-        assert_eq!(merged.change_latency.len(), a.change_latency.len() + b.change_latency.len());
         assert_eq!(merged.query_latency.len(), 4);
         let q = &merged.query_latency;
         assert_eq!(q.quantile(0.0), Some(131), "merged histogram holds both sample sets");

@@ -324,9 +324,8 @@ impl NetConfig {
     }
 }
 
-/// Compact hierarchy coordinates of one node, for O(1) link
-/// classification: two loads and a handful of integer compares replace the
-/// two `placement()` B-tree walks of [`NetworkModel::classify`].
+/// Compact hierarchy coordinates of one node: its ring, its sponsor and the
+/// ring it sponsors — all a link class depends on.
 #[derive(Debug, Clone, Copy)]
 struct NodeCoords {
     /// Ring id.
@@ -337,36 +336,25 @@ struct NodeCoords {
     child_ring: u32,
 }
 
-/// Precomputed link classification for every ordered node pair of one
-/// layout.
+/// The link classes of one layout, for every ordered node pair.
 ///
-/// Built once at `Simulation::new`: for small hierarchies the full N×N
-/// byte matrix makes `send_frame` classification a single indexed load;
-/// beyond [`LinkClassMatrix::DENSE_LIMIT`] nodes the matrix would no
-/// longer fit hot caches, so classification falls back to the compressed
-/// per-pair form — two compact per-node coordinate loads and integer
-/// compares, still
-/// O(1) and allocation-free. Both forms agree with
-/// [`NetworkModel::classify`] on every pair (property-tested).
+/// The paper's classes are a pure function of each endpoint's ring, sponsor
+/// and sponsored ring, so the matrix stores exactly that — one compact
+/// coordinate triple per node, built once at engine construction in O(N) —
+/// and [`LinkClassMatrix::classify`] compares two of them: two loads and a
+/// handful of integer compares in place of the two `placement()` B-tree
+/// walks of [`NetworkModel::classify`], with which it agrees on every pair
+/// (property-tested).
 #[derive(Debug, Clone)]
 pub struct LinkClassMatrix {
-    n: usize,
-    /// Row-major `n × n` classes; empty when `n > DENSE_LIMIT`.
-    dense: Vec<LinkClass>,
-    /// Per-node compressed coordinates (always built; the fallback and the
-    /// matrix builder share it).
+    /// Per-node coordinates, by dense index.
     coords: Vec<NodeCoords>,
 }
 
 impl LinkClassMatrix {
-    /// Largest node count that still gets the full N×N byte matrix (1 MiB
-    /// at the limit).
-    pub const DENSE_LIMIT: usize = 1024;
-
-    /// Precompute the matrix for `layout`.
+    /// The coordinates of every node of `layout`.
     pub fn new(layout: &HierarchyLayout, indexer: &NodeIndexer) -> Self {
-        let n = indexer.len();
-        let coords: Vec<NodeCoords> = (0..n)
+        let coords = (0..indexer.len())
             .map(|i| {
                 let id = indexer.id_of(NodeIdx(i as u32));
                 let p = layout.placement(id).expect("indexer node is in layout");
@@ -381,23 +369,17 @@ impl LinkClassMatrix {
                 }
             })
             .collect();
-        let mut matrix = LinkClassMatrix { n, dense: Vec::new(), coords };
-        if n <= Self::DENSE_LIMIT {
-            let mut dense = vec![LinkClass::WideArea; n * n];
-            for a in 0..n {
-                for b in 0..n {
-                    dense[a * n + b] =
-                        matrix.classify_compact(NodeIdx(a as u32), NodeIdx(b as u32));
-                }
-            }
-            matrix.dense = dense;
-        }
-        matrix
+        LinkClassMatrix { coords }
     }
 
-    /// Classify via the compressed per-pair form.
+    /// Classify an ordered pair of dense node indices. `None` (a node
+    /// outside the layout) classifies as wide-area, mirroring
+    /// [`NetworkModel::classify`].
     #[inline]
-    fn classify_compact(&self, from: NodeIdx, to: NodeIdx) -> LinkClass {
+    pub fn classify(&self, from: Option<NodeIdx>, to: Option<NodeIdx>) -> LinkClass {
+        let (Some(from), Some(to)) = (from, to) else {
+            return LinkClass::WideArea;
+        };
         let a = self.coords[from.as_usize()];
         let b = self.coords[to.as_usize()];
         if a.ring == b.ring {
@@ -411,21 +393,6 @@ impl LinkClassMatrix {
             LinkClass::InterTier
         } else {
             LinkClass::WideArea
-        }
-    }
-
-    /// Classify an ordered pair of dense node indices. `None` (a node
-    /// outside the layout) classifies as wide-area, mirroring
-    /// [`NetworkModel::classify`].
-    #[inline]
-    pub fn classify(&self, from: Option<NodeIdx>, to: Option<NodeIdx>) -> LinkClass {
-        let (Some(a), Some(b)) = (from, to) else {
-            return LinkClass::WideArea;
-        };
-        if self.dense.is_empty() {
-            self.classify_compact(a, b)
-        } else {
-            self.dense[a.as_usize() * self.n + b.as_usize()]
         }
     }
 }

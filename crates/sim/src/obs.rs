@@ -20,11 +20,14 @@
 //! Everything is gated on one `enabled` flag (default off, `NullSink`),
 //! so runs that do not opt in keep current throughput.
 
-use crate::metrics::{Metrics, MetricsSnapshot, ShardLoad};
+use crate::metrics::{Metrics, ShardLoad};
 use rgb_core::node::NodeState;
 use rgb_core::obs::{LatencySample, NullSink, ObsKind, ObsRecord, TraceSink};
-use rgb_core::prelude::{AppEvent, ChangeId, HierarchyLayout, Input, Msg, RingId, TimerKind};
+use rgb_core::prelude::{
+    AppEvent, ChangeId, HierarchyLayout, Input, Msg, MsgLabel, RingId, TimerKind,
+};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 /// In-flight change sightings tracked per engine domain before overflow
 /// trimming starts. Sightings complete at ring agreement, so steady state
@@ -215,14 +218,14 @@ pub struct TimelineEntry {
     pub by_label_delta: BTreeMap<&'static str, u64>,
 }
 
-/// A run's sequence of periodic [`MetricsSnapshot`] deltas. The driver
-/// (bench bin, explorer, test) calls [`Timeline::sample`] between run
-/// slices; the engine itself never samples, so timelines cannot perturb
-/// determinism.
+/// A run's sequence of periodic counter deltas. The driver (bench bin,
+/// explorer, test) calls [`Timeline::sample`] between run slices; the
+/// engine itself never samples, so timelines cannot perturb determinism.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
     entries: Vec<TimelineEntry>,
-    last: Option<(MetricsSnapshot, u64)>,
+    /// The metrics of the previous sample (all zero before the first).
+    prev: Metrics,
 }
 
 impl Timeline {
@@ -233,20 +236,20 @@ impl Timeline {
 
     /// Record one sample: deltas of `metrics` against the previous call.
     pub fn sample(&mut self, tick: u64, wall_nanos: u128, metrics: &Metrics) {
-        let snap = metrics.snapshot();
-        let (prev, prev_apps) = match &self.last {
-            Some((s, a)) => (s.clone(), *a),
-            None => (MetricsSnapshot::default(), 0),
-        };
+        let prev = std::mem::replace(&mut self.prev, metrics.clone());
+        let by_label_delta = MsgLabel::ALL
+            .into_iter()
+            .map(|l| (l.as_str(), metrics.sent_label(l).saturating_sub(prev.sent_label(l))))
+            .filter(|&(_, delta)| delta > 0)
+            .collect();
         self.entries.push(TimelineEntry {
             tick,
             wall_nanos,
-            sent_delta: snap.sent_total.saturating_sub(prev.sent_total),
-            proposal_delta: snap.proposal_hops.saturating_sub(prev.proposal_hops),
-            app_events_delta: metrics.app_events.saturating_sub(prev_apps),
-            by_label_delta: prev.delta(metrics),
+            sent_delta: metrics.sent_total.saturating_sub(prev.sent_total),
+            proposal_delta: metrics.proposal_hops().saturating_sub(prev.proposal_hops()),
+            app_events_delta: metrics.app_events.saturating_sub(prev.app_events),
+            by_label_delta,
         });
-        self.last = Some((snap, metrics.app_events));
     }
 
     /// The samples recorded so far.
@@ -501,6 +504,17 @@ pub fn prometheus_text(metrics: &Metrics) -> String {
     out
 }
 
+/// Write `report` as the `rgb-obs v1` JSON document at `path` and its
+/// metrics as Prometheus text beside it, at `path.with_extension("prom")`
+/// (`obs.json` → `obs.prom`) — the one writer behind every `--obs-out`.
+/// Returns the Prometheus file's path.
+pub fn write_obs(path: &Path, report: &ObsReport) -> std::io::Result<PathBuf> {
+    std::fs::write(path, obs_json(report))?;
+    let prom = path.with_extension("prom");
+    std::fs::write(&prom, prometheus_text(report.metrics))?;
+    Ok(prom)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -613,5 +627,29 @@ mod tests {
         assert!(
             text.contains("rgb_latency_ticks{surface=\"repair\",level=\"1\",quantile=\"0.5\"} 40")
         );
+    }
+
+    #[test]
+    fn write_obs_puts_the_prometheus_text_beside_the_json() {
+        let dir = std::env::temp_dir().join(format!("rgb_obs_write_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (m, t) = (Metrics::default(), Timeline::new());
+        let report = ObsReport {
+            scenario: "unit",
+            backend: "sim",
+            ticks: 1,
+            wall_nanos: 1,
+            metrics: &m,
+            timeline: &t,
+            trace: &[],
+            trace_dropped: 0,
+            shards: &[],
+        };
+        let prom = write_obs(&dir.join("rel.json"), &report).unwrap();
+        assert_eq!(prom, dir.join("rel.prom"), "the extension is replaced, not appended");
+        let json = std::fs::read_to_string(dir.join("rel.json")).unwrap();
+        assert!(json.contains("\"schema\": \"rgb-obs v1\""));
+        assert!(std::fs::read_to_string(&prom).unwrap().starts_with("# TYPE"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

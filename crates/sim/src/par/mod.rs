@@ -42,9 +42,13 @@
 //!    — are unchanged). Sparse scenarios pay for events, not for empty
 //!    simulated time.
 //! 5. **Zero lookahead** (instant networks) admits no conservative
-//!    window; the engine then degrades to a merged single-threaded drive
-//!    that pops the global `(at, key)` minimum across shard queues —
-//!    exactly the sequential semantics, still shard-partitioned state.
+//!    window, so [`ParSimulation::new`] holds such a layout as one shard:
+//!    the window driver then runs it to each deadline on one thread, with
+//!    the sequential semantics.
+//! 6. **Every scheduled event lands in a world**: the holder's, or shard
+//!    0's for an id outside the layout — the whole world's rule. Queue
+//!    lengths, pending disruptions and the crash set are therefore read off
+//!    the worlds, exactly as sequentially.
 //!
 //! ## Determinism
 //!
@@ -65,7 +69,7 @@ pub(crate) mod shard;
 
 use crate::metrics::{Metrics, ParStats, ShardLoad};
 use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
-use crate::queue::{Event, EventKey};
+use crate::queue::Event;
 use crate::sim::MemoryStats;
 use crate::world::{Part, Schedule, World};
 use partition::{LookaheadMatrix, ShardMap};
@@ -164,8 +168,7 @@ pub struct ParSimulation {
     now: u64,
     /// Per-ordered-pair conservative floors (see
     /// [`partition::LookaheadMatrix`]); its global minimum is `u64::MAX`
-    /// when at most one shard is populated, 0 when an instant network
-    /// admits no window (merged fallback).
+    /// when at most one shard is populated.
     la: LookaheadMatrix,
     /// Scheduled-event keys and the wireless MH→AP hop: the sequential
     /// engine's, so scheduled events carry identical keys and fates.
@@ -173,14 +176,13 @@ pub struct ParSimulation {
     /// Send/loss counters accrued at schedule time (wireless hop), merged
     /// into [`ParSimulation::metrics`].
     driver_metrics: Metrics,
-    /// Every scheduled crash `(at, node)` — including ids outside the
-    /// layout, exactly like the sequential engine's crash bookkeeping.
-    crash_log: Vec<(u64, NodeId)>,
 }
 
 impl ParSimulation {
     /// Build a parallel simulation over `layout` with every node running
-    /// `cfg`, split into `shards` shards.
+    /// `cfg`, split into `shards` shards — or held as one shard when `net`
+    /// admits no conservative window (a zero floor between two shards, as
+    /// on an instant network).
     ///
     /// # Panics
     ///
@@ -196,11 +198,16 @@ impl ParSimulation {
         assert!(shards > 0, "need at least one shard");
         let indexer = Arc::new(layout.indexer());
         let classes = Arc::new(LinkClassMatrix::new(&layout, &indexer));
-        let map = Arc::new(ShardMap::new(&layout, &indexer, shards));
-        let la = LookaheadMatrix::new(&layout, &indexer, &map, &net);
+        let mut map = ShardMap::new(&layout, &indexer, shards);
+        let mut la = LookaheadMatrix::new(&layout, &indexer, &map, &net);
+        if la.global() == 0 {
+            map = ShardMap::new(&layout, &indexer, 1);
+            la = LookaheadMatrix::new(&layout, &indexer, &map, &net);
+        }
+        let map = Arc::new(map);
         let model = NetworkModel::new(net);
         let schedule = Schedule::new(seed, layout.gid, model.clone());
-        let shards = (0..shards)
+        let shards = (0..map.shards)
             .map(|id| {
                 let part = Part { id, map: Arc::clone(&map) };
                 let world = World::new(
@@ -224,18 +231,19 @@ impl ParSimulation {
             la,
             schedule,
             driver_metrics: Metrics::default(),
-            crash_log: Vec::new(),
         }
     }
 
-    /// Number of shards (including empty ones).
+    /// Number of shards (including empty ones; one for a network that
+    /// admits no window).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
     /// The global conservative floor in force — the minimum over every
-    /// shard pair's lookahead (see module docs). Individual pairs may
-    /// admit much longer windows; see
+    /// shard pair's lookahead (see module docs), `u64::MAX` when there is
+    /// no pair (one populated shard, an instant network's included).
+    /// Individual pairs may admit much longer windows; see
     /// [`ParSimulation::lookahead_range`].
     pub fn lookahead(&self) -> u64 {
         self.la.global()
@@ -248,7 +256,7 @@ impl ParSimulation {
     }
 
     /// Aggregated window/batching counters across every shard (all zero
-    /// until a windowed run executes; merged-mode runs have no windows).
+    /// until a run executes).
     pub fn par_stats(&self) -> ParStats {
         let mut total = ParStats::default();
         for shard in &self.shards {
@@ -351,14 +359,16 @@ impl ParSimulation {
         self.shards.iter().map(|s| s.world.obs.first_seen_overflow()).sum()
     }
 
-    /// Land a scheduled event in the queue of the shard that holds `node`;
-    /// events for ids outside the layout are dropped (their side effects,
-    /// if any, are the caller's bookkeeping — see
-    /// [`ParSimulation::crash_at`]).
+    /// The shard whose world takes events for `node`: the one holding it,
+    /// or shard 0 for an id outside the layout (see module docs).
+    fn owner(&self, node: NodeId) -> usize {
+        self.indexer.index_of(node).map_or(0, |global| self.map.shard_of(global))
+    }
+
+    /// Land a scheduled event in the queue of `node`'s owner.
     fn route_to_owner(&mut self, node: NodeId, event: Event) {
-        if let Some(global) = self.indexer.index_of(node) {
-            self.shards[self.map.shard_of(global)].enqueue(event);
-        }
+        let owner = self.owner(node);
+        self.shards[owner].enqueue(event);
     }
 
     /// Schedule a mobile-host event against access proxy `ap` (wireless
@@ -370,11 +380,10 @@ impl ParSimulation {
         }
     }
 
-    /// Schedule a node crash (ids outside the layout are remembered in the
-    /// crash set without any engine effect, like sequentially).
+    /// Schedule a node crash (ids outside the layout join the crash set
+    /// when it runs, without any other effect, like sequentially).
     pub fn crash_at(&mut self, delay: u64, node: NodeId) {
         let event = self.schedule.crash(self.now.saturating_add(delay), node);
-        self.crash_log.push((event.at, node));
         self.route_to_owner(node, event);
     }
 
@@ -385,55 +394,41 @@ impl ParSimulation {
     }
 
     /// Schedule a timed link partition. The transition events are
-    /// replicated to the shard(s) owning the endpoints — each shard keeps
-    /// its own severed-pair list, and only an endpoint's shard ever
-    /// consults this pair (the drop check runs on the sender's shard, and
-    /// the sender of an affected frame is always an endpoint).
+    /// replicated to the owners of both endpoints — each shard keeps its
+    /// own severed-pair list, and only an endpoint's shard ever consults
+    /// this pair (the drop check runs on the sender's shard, and the sender
+    /// of an affected frame is always an endpoint).
     pub fn schedule_partition(&mut self, p: LinkPartition) {
         let transitions = self.schedule.partition(self.now, p);
-        let mut targets: Vec<usize> = [p.a, p.b]
-            .iter()
-            .filter_map(|&n| self.indexer.index_of(n))
-            .map(|g| self.map.shard_of(g))
-            .collect();
-        targets.sort_unstable();
-        targets.dedup();
-        for s in targets {
+        let owners = [self.owner(p.a), self.owner(p.b)];
+        let targets = if owners[0] == owners[1] { &owners[..1] } else { &owners[..] };
+        for &s in targets {
             for event in &transitions {
                 self.shards[s].enqueue(event.clone());
             }
         }
     }
 
-    /// Single-threaded outbox routing (boot and merged mode). Each outbox
-    /// is emptied in place and put back — merged mode flushes after every
-    /// cross-shard burst, so this path must not allocate per call.
+    /// Single-threaded outbox routing of the boot-time frames.
     fn flush_outboxes(&mut self) {
         for from in 0..self.shards.len() {
             for dest in 0..self.shards.len() {
-                let mut events = std::mem::take(&mut self.shards[from].world.outbox[dest]);
-                for event in events.drain(..) {
+                for event in std::mem::take(&mut self.shards[from].world.outbox[dest]) {
                     self.shards[dest].enqueue(event);
                 }
-                self.shards[from].world.outbox[dest] = events;
             }
         }
     }
 
     /// Run until simulated time reaches `deadline` (events beyond it stay
-    /// queued), windows permitting parallel execution whenever the
-    /// lookahead is positive.
+    /// queued), windows permitting parallel execution.
     pub fn run_until(&mut self, deadline: u64) {
         // `run_until(now)` is not a no-op: what is due at `now` (a delay-0
         // schedule, a zero-latency cascade) is drained, as sequentially.
         if deadline < self.now {
             return;
         }
-        if self.la.global() == 0 {
-            self.run_merged(deadline);
-        } else {
-            self.run_windowed(deadline);
-        }
+        self.run_windowed(deadline);
         self.now = deadline;
     }
 
@@ -591,34 +586,6 @@ impl ParSimulation {
         });
     }
 
-    /// Merged fallback for zero lookahead: a single thread pops the global
-    /// `(at, key)` minimum across shard queues — the sequential semantics
-    /// over the partitioned state. No parallel speedup, but scenario knobs
-    /// and digests behave identically, so an instant-network run is still
-    /// valid under any shard count.
-    fn run_merged(&mut self, deadline: u64) {
-        loop {
-            let mut best: Option<(u64, EventKey, usize)> = None;
-            for (i, shard) in self.shards.iter_mut().enumerate() {
-                if let Some((at, key)) = shard.world.events.peek_entry() {
-                    if at <= deadline && best.is_none_or(|(ba, bk, _)| (at, key) < (ba, bk)) {
-                        best = Some((at, key, i));
-                    }
-                }
-            }
-            let Some((_, _, i)) = best else { break };
-            let shard = &mut self.shards[i];
-            shard.run().step();
-            shard.processed += 1;
-            if shard.world.outbox.iter().any(|o| !o.is_empty()) {
-                self.flush_outboxes();
-            }
-        }
-        for shard in &mut self.shards {
-            shard.run_window(deadline); // pins shard.now to the deadline
-        }
-    }
-
     /// Total events processed across all shards.
     pub fn processed_events(&self) -> u64 {
         self.shards.iter().map(|s| s.processed).sum()
@@ -635,10 +602,10 @@ impl ParSimulation {
         self.shards.iter().map(|s| s.world.events.disruptions()).sum()
     }
 
-    /// Whether `node` has crashed (scheduled ids outside the layout
-    /// included once their time has passed).
+    /// Whether `node` has crashed (ids outside the layout included once
+    /// their scheduled crash ran).
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crash_log.iter().any(|&(at, n)| n == node && at <= self.now)
+        self.shards[self.owner(node)].world.is_crashed(node)
     }
 
     /// The four scalar counter totals a run trace records, summed across
@@ -692,9 +659,10 @@ impl ParSimulation {
         SystemDigest { now: self.now, nodes, crashed: self.crashed_set(), settled }
     }
 
-    /// Crashed NEs so far (scheduled ids outside the layout included).
+    /// Crashed NEs so far: every world's crash record (ids outside the
+    /// layout included, like sequentially).
     pub fn crashed_set(&self) -> BTreeSet<NodeId> {
-        self.crash_log.iter().filter(|&&(at, _)| at <= self.now).map(|&(_, n)| n).collect()
+        self.shards.iter().flat_map(|s| s.world.crashed_ids.iter().copied()).collect()
     }
 
     /// Every node's protocol state, in id order (cold path: gathers across

@@ -181,11 +181,11 @@ impl LookaheadMatrix {
         self.incoming[to]
     }
 
-    /// The single global floor (minimum over every ordered pair) the
-    /// engine used before per-pair windows: `u64::MAX` when at most one
-    /// shard is populated (the whole run is one window), 0 when an
-    /// instant network admits no conservative window at all (merged
-    /// fallback).
+    /// The single global floor (minimum over every ordered pair): the
+    /// idle-skip grid of the window driver, `u64::MAX` when at most one
+    /// shard is populated (the whole run is one window), and 0 when the
+    /// network admits no conservative window at all — which is how
+    /// `ParSimulation::new` knows to hold the layout as one shard instead.
     #[inline]
     pub fn global(&self) -> u64 {
         self.global

@@ -209,13 +209,7 @@ impl EventQueue {
 
     /// Timestamp of the next entry in `(at, key)` order.
     pub fn peek_at(&mut self) -> Option<u64> {
-        self.peek_entry().map(|(at, _)| at)
-    }
-
-    /// `(at, key)` of the next entry — what the parallel engine's merged
-    /// driver compares across shard queues to pop the global minimum.
-    pub fn peek_entry(&mut self) -> Option<(u64, EventKey)> {
-        self.events.peek().map(|ev| (ev.at, ev.key))
+        self.events.peek().map(|ev| ev.at)
     }
 
     /// Pop the next entry in strict global `(at, key)` order.

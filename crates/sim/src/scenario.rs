@@ -264,12 +264,6 @@ impl Scenario {
         self
     }
 
-    /// Append a pre-computed partition plan.
-    pub fn with_partitions(mut self, partitions: Vec<LinkPartition>) -> Self {
-        self.partitions.extend(partitions);
-        self
-    }
-
     /// Schedule a membership query.
     pub fn query(mut self, at: u64, node: NodeId, scope: QueryScope) -> Self {
         self.queries.push(TimedQuery { at, node, scope });

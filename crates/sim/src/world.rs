@@ -39,8 +39,9 @@
 //!   ack and the timers they arm touch one 208-byte slot whose live timers
 //!   sit inline ([`rgb_core::substrate::TimerSet`]), not six parallel
 //!   arrays on six pages;
-//! - link classification is a [`LinkClassMatrix`] lookup precomputed at
-//!   construction — no per-send `placement()` walks;
+//! - link classification compares two nodes' coordinates in the
+//!   [`LinkClassMatrix`] built at construction — no per-send `placement()`
+//!   walks;
 //! - send counters are fixed-slot arrays keyed by [`MsgLabel`] and
 //!   [`LinkClass`] ([`Metrics::record_send`]);
 //! - timers are generation-stamped slots whose queue entries drain through
@@ -177,9 +178,9 @@ fn mh_guid(event: &MhEvent) -> Guid {
 ///
 /// Keys are assigned in schedule order, so two engines that schedule the
 /// same plan in the same order hold identical keys. The engines differ
-/// only in where the returned [`Event`] lands: the whole world's own queue
-/// (ids outside the layout included), or the queue of the shard that holds
-/// its node.
+/// only in where the returned [`Event`] lands: the whole world's own queue,
+/// or the queue of the shard that holds its node (shard 0 for ids outside
+/// the layout).
 #[derive(Debug)]
 pub(crate) struct Schedule {
     seed: u64,
@@ -287,8 +288,9 @@ pub(crate) struct World {
     /// Engine-side state of every NE held, one [`NodeSlot`] each.
     slots: Vec<NodeSlot>,
     /// NEs whose scheduled crash this world processed, by id (cold mirror
-    /// of the slots' flags for reports and oracles; the whole world also
-    /// keeps ids outside the layout here).
+    /// of the slots' flags for reports and oracles; ids outside the layout
+    /// are kept by the world that takes their events — the whole world, or
+    /// shard 0).
     pub crashed_ids: BTreeSet<NodeId>,
     /// Application deliveries per node, with timestamps.
     pub delivered: Vec<Vec<(u64, AppEvent)>>,

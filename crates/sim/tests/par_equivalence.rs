@@ -333,11 +333,47 @@ fn windowed_runs_report_par_stats_and_lookahead_slack() {
     assert_eq!(loads.iter().map(|l| l.nodes).sum::<usize>(), par.layout.node_count());
     assert!(loads.iter().all(|l| l.par.windows > 0), "every shard ran windows: {loads:?}");
 
-    // The merged (zero-lookahead) fallback runs no windows at all.
-    let instant = &all[0];
-    let mut merged = instant.try_build_par(4).expect("scenario validates");
-    merged.run_until(instant.duration);
-    assert_eq!(merged.par_stats().windows, 0, "merged fallback is windowless");
+    // Zero lookahead admits no window: the layout is held as one shard.
+    let instant = all[0].try_build_par(4).expect("scenario validates");
+    assert_eq!(instant.shard_count(), 1, "an instant network holds one shard");
+}
+
+/// A crash and a query scheduled on an id outside the layout, and a delay-0
+/// crash of a layout node not yet run, count alike on both engines: every
+/// scheduled event sits in some world's queue until it runs, and the crash
+/// set is what the worlds have run.
+#[test]
+fn events_outside_the_layout_count_alike_on_both_engines() {
+    let ghost = NodeId(9_999);
+    for net in [NetConfig::instant(), NetConfig::default()] {
+        let sc = Scenario::new("outside the layout", 2, 3).with_net(net).with_seed(7);
+        let victim = sc.layout().aps()[1];
+        let mut seq = sc.build_sim();
+        let mut par = sc.try_build_par(2).expect("scenario validates");
+        seq.run_until(100);
+        par.run_until(100);
+        seq.crash_at(10, ghost);
+        par.crash_at(10, ghost);
+        seq.schedule_query(20, ghost, QueryScope::Global);
+        par.schedule_query(20, ghost, QueryScope::Global);
+        seq.crash_at(0, victim);
+        par.crash_at(0, victim);
+        for phase in ["scheduled", "run"] {
+            if phase == "run" {
+                seq.run_until(500);
+                par.run_until(500);
+            }
+            let shards = par.shard_count();
+            assert_eq!(seq.pending_disruptions(), par.pending_disruptions(), "{phase}, {shards}");
+            assert_eq!(seq.queue_len(), par.queue_len(), "{phase}, {shards} shards");
+            assert_eq!(seq.crashed_set(), &par.crashed_set(), "{phase}, {shards} shards");
+            for node in [ghost, victim] {
+                assert_eq!(seq.is_crashed(node), par.is_crashed(node), "{phase}, {node}");
+            }
+            assert_eq!(seq.system_digest(false), par.system_digest(false), "{phase}, {shards}");
+        }
+        assert!(par.is_crashed(ghost) && par.is_crashed(victim), "both crashes ran");
+    }
 }
 
 #[test]

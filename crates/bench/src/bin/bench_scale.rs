@@ -69,8 +69,8 @@ use rgb_core::obs::{FlightRecorder, TraceSink};
 use rgb_core::prelude::*;
 use rgb_sim::fault::bernoulli_crashes;
 use rgb_sim::{
-    shard_loads_json, write_obs, ChurnParams, LatencyBand, Metrics, NetConfig, ObsReport, ParStats,
-    Scenario, ShardLoad, Simulation, Timeline,
+    shard_loads_json, write_obs, ChurnParams, Engine, LatencyBand, Metrics, NetConfig, ObsReport,
+    ParStats, Scenario, ShardLoad, Timeline,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -293,12 +293,10 @@ fn run_obs(scenario: &Scenario, shards: usize, path: &str) {
     let start = Instant::now();
     let mut timeline = Timeline::new();
     let stride = (scenario.duration / SLICES).max(1);
-    let mut t = 0;
-    while t < scenario.duration {
-        t = (t + stride).min(scenario.duration);
-        sim.run_until(t);
-        timeline.sample(t, start.elapsed().as_nanos(), &sim.metrics());
-    }
+    sim.run_observed(scenario.duration, stride, |s| {
+        timeline.sample(s.now(), start.elapsed().as_nanos(), &s.metrics());
+        true
+    });
     let wall_nanos = start.elapsed().as_nanos();
     let metrics = sim.metrics();
     let trace = sim.trace_snapshot();
@@ -332,19 +330,15 @@ fn check_digests(scenario: &Scenario, shards: usize, stride: u64) -> Result<usiz
     let mut seq = scenario.build_sim();
     let mut par = scenario.try_build_par(shards).expect("scenario validates");
     let mut checked = 0usize;
-    let mut t = 0;
-    while t < scenario.duration {
-        t = (t + stride).min(scenario.duration);
-        Simulation::run_until(&mut seq, t);
-        par.run_until(t);
-        let a = seq.system_digest(false);
-        let b = par.system_digest(false);
-        if a != b {
-            return Err(format!("digest diverged at t={t} ({shards} shards)"));
-        }
+    let diverged = seq.run_observed(scenario.duration, stride, |s| {
+        par.run_until(s.now);
         checked += 1;
+        s.system_digest(false) == par.system_digest(false)
+    });
+    match diverged {
+        Some(t) => Err(format!("digest diverged at t={t} ({shards} shards)")),
+        None => Ok(checked),
     }
-    Ok(checked)
 }
 
 /// `speedup_vs_seq` for one mode: `None` (rendered `null`) on a 1-core

@@ -1,55 +1,73 @@
-//! E12/E15 — deterministic scenario explorer, blind and coverage-guided.
+//! E12/E15 — the deterministic scenario explorer.
 //!
-//! Fault-space fuzzing over randomized [`rgb_sim::Scenario`]s with the
-//! continuous invariant oracle battery, automatic shrinking of any
-//! violation to a minimal reproducer artifact, and (E15) a
-//! coverage-guided keep-and-mutate loop over a persistent corpus.
+//! Fault-space fuzzing over randomized [`rgb_sim::Scenario`]s under the
+//! continuous invariant oracle battery: every run is fingerprinted by what
+//! it did ([`rgb_sim::explore::CoverageKey`]), violations are shrunk to
+//! minimal reproducer artifacts, and (E15) runs with novel coverage grow a
+//! corpus whose entries can be mutated one dimension at a time.
 //!
 //! ```text
-//! explore [--seeds N] [--start-seed S] [--master-seed M] [--smoke]
-//!         [--large] [--shards N] [--par-stats] [--k TICKS]
-//!         [--shrink-budget N] [--time-budget-secs T] [--repro-dir DIR]
-//!         [--replay FILE] [--expect-clean]
-//!         [--corpus DIR] [--mutate] [--coverage-stats] [--stats-out FILE]
-//!         [--corpus-replay DIR] [--write-presets DIR]
-//!         [--obs-run NAME [--obs-out FILE]]
+//! explore [--seeds N] [--start-seed S] [--master-seed M] [--smoke | --large]
+//!         [--shards N] [--mutate | --coverage-stats] [--corpus DIR]
+//!         [--time-budget-secs T] [--repro-dir DIR] [--stats-out FILE]
+//! explore --replay FILE [--expect-clean]
+//! explore --corpus-replay DIR [--shards N]
+//! explore --write-presets DIR
+//! explore --obs-run NAME [--obs-out FILE] [--shards N]
 //! ```
 //!
-//! - Default mode explores the full generation envelope; `--smoke` uses
-//!   the bounded envelope the PR pipeline runs
-//!   (`--seeds 200 --smoke` is the CI smoke command); `--large` uses the
-//!   10k–50k-node envelope, normally together with `--shards N` so each
-//!   run executes on the sharded parallel engine (trace-equivalent to the
-//!   sequential one, so the oracle battery is judging identical digests).
-//!   Large-envelope violations are reported by `(master seed, index)` and
-//!   **not** shrunk — delta-debugging a 30k-node scenario is a local
-//!   follow-up, not a CI step.
-//! - A scenario is identified by the pair `(master seed, index)`:
-//!   `--master-seed` picks the generator stream (the nightly job derives
-//!   it from the date), `--start-seed`/`--seeds` select the index block.
-//! - On violation: the scenario is delta-debugged to a minimal reproducer,
-//!   written under `--repro-dir` (default `tests/repros/`), and the
-//!   process exits non-zero — which is what fails the nightly job.
-//! - `--mutate` switches to the coverage-guided loop (E15): corpus
-//!   entries (loaded from `--corpus DIR` when given) are mutated one
-//!   dimension at a time, runs with novel coverage fingerprints are
-//!   admitted with lineage metadata, and the grown corpus is saved back.
-//!   Violations do not stop the session; each is reported (the first few
-//!   shrunk) and the process exits non-zero at the end.
-//! - `--coverage-stats` runs **both** a blind block and a cold-start
-//!   guided block on the identical seed budget and prints the distinct
-//!   coverage-fingerprint comparison — the E15 novelty-vs-blind
-//!   measurement. `--stats-out FILE` additionally writes the numbers as
-//!   JSON (the nightly job uploads it as an artifact).
+//! Every exploring mode drives the one session loop,
+//! [`Explorer::explore`](rgb_sim::explore::Explorer::explore); the modes
+//! only set its mutation ceiling:
+//!
+//! - Default (blind, E12): mutation off, so each run is the generator's
+//!   scenario for its seed. `--seeds 200 --smoke` is the PR smoke block.
+//! - `--mutate` (guided, E15): each run samples the generator or mutates a
+//!   corpus entry, steered by each arm's recent novelty.
+//! - `--coverage-stats`: a blind session, then a guided one on as many of
+//!   the same seeds, and the comparison of their distinct coverage
+//!   fingerprints — the E15 novelty-vs-blind measurement. A time budget is
+//!   split 40/60 between them (the guided session pays for shrinking too).
+//!
+//! What every exploring mode shares:
+//!
+//! - The envelope is the full one by default, the bounded one with
+//!   `--smoke` and the 10k–50k-node one with `--large`. A scenario is
+//!   identified by `(envelope, master seed, index)`: `--master-seed` picks
+//!   the generator stream (the nightly job derives it from the date),
+//!   `--start-seed`/`--seeds` the index block.
+//! - `--shards N` runs every scenario on the sharded parallel engine
+//!   (trace-equivalent to the sequential one, so the oracles and the
+//!   coverage keys see identical digests) and prints the session's merged
+//!   `ParStats`.
+//! - Seeds run in blocks of [`BLOCK`]: the corpus carries across blocks and
+//!   each block restarts the mutation schedule at its first seed. The time
+//!   budget (`--time-budget-secs`) is checked between blocks; once it is
+//!   spent the session stops and reports how many seeds it covered.
+//! - `--corpus DIR` starts each session from the corpus under DIR (stale
+//!   artifacts dropped) and saves the last session's grown corpus back.
+//! - Each session prints its distinct coverage fingerprints per bucket, its
+//!   mutants and corpus admissions; `--stats-out FILE` writes them as JSON
+//!   (the PR and nightly jobs upload it).
+//! - One violation rule: a violation never stops the session. Each is
+//!   reported and written as a reproducer artifact under `--repro-dir`
+//!   (default `tests/repros/`), the first three of a session delta-debugged
+//!   to a minimal one first — none under `--shards`, where shrinking a
+//!   30k-node scenario is a local follow-up (the engines are
+//!   trace-equivalent, so a sequential run of the same scenario reproduces
+//!   it). The process exits 1 at the end of a session that found any, which
+//!   is what fails the nightly job.
+//!
+//! The other modes run artifacts and presets:
+//!
 //! - `--replay FILE` parses a previously written artifact and runs it
-//!   under the standard oracles instead of exploring. Artifacts written
-//!   by the explorer carry `meta.oracle` — the oracle the repro is
-//!   expected to fire. Replay exit codes: **0** expected outcome (clean
-//!   for plain/`--expect-clean` artifacts), **1** violation, **3** stale
-//!   repro (a `meta.oracle` artifact that replayed clean or fired a
-//!   different oracle — the bug it documents is gone or changed; without
-//!   this, a silently-clean replay is indistinguishable from a fixed
-//!   bug).
+//!   under the standard oracles. Artifacts written by the explorer carry
+//!   `meta.oracle` — the oracle the repro is expected to fire. Replay exit
+//!   codes: **0** expected outcome (clean for plain/`--expect-clean`
+//!   artifacts), **1** violation, **3** stale repro (a `meta.oracle`
+//!   artifact that replayed clean or fired a different oracle — the bug it
+//!   documents is gone or changed; without this, a silently-clean replay is
+//!   indistinguishable from a fixed bug).
 //! - `--corpus-replay DIR` replays every `.scn` under DIR on the
 //!   sequential *and* the sharded engine (`--shards`, default 4) and
 //!   fails unless the digest streams are byte-identical and the standard
@@ -63,22 +81,21 @@
 //!   `--obs-out FILE` (stdout when omitted) plus a Prometheus-style
 //!   sibling (`obs.json` → `obs.prom`) — the CI `obs-smoke` job's entry
 //!   point.
-//! - `--time-budget-secs` stops cleanly (exit 0) once the budget is
-//!   spent, reporting how many seeds were covered; the nightly job uses
-//!   it to stay time-boxed.
 
 use rgb_sim::explore::{
-    artifact, corpus::Corpus, coverage::CoverageKey, coverage::CoverageMap, Explorer, GuidedConfig,
-    GuidedStats, ScenarioGen,
+    artifact, Corpus, Exploration, Explorer, FoundViolation, ScenarioGen, SessionConfig,
 };
-use rgb_sim::presets;
-use std::collections::BTreeMap;
+use rgb_sim::{presets, ParStats};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Exit code for a stale repro: a `meta.oracle` artifact whose replay no
 /// longer fires that oracle.
 const EXIT_STALE: i32 = 3;
+
+/// Seeds per [`Explorer::explore`] call. The guided figures of E15 and E26
+/// are measured at this size: each call restarts the mutation schedule.
+const BLOCK: u64 = 25;
 
 struct Args {
     seeds: u64,
@@ -87,9 +104,6 @@ struct Args {
     smoke: bool,
     large: bool,
     shards: Option<usize>,
-    par_stats: bool,
-    k: u64,
-    shrink_budget: usize,
     time_budget: Option<Duration>,
     repro_dir: PathBuf,
     replay: Option<PathBuf>,
@@ -112,9 +126,6 @@ fn parse_args() -> Args {
         smoke: false,
         large: false,
         shards: None,
-        par_stats: false,
-        k: 200,
-        shrink_budget: 400,
         time_budget: None,
         repro_dir: PathBuf::from("tests/repros"),
         replay: None,
@@ -147,11 +158,6 @@ fn parse_args() -> Args {
             "--smoke" => args.smoke = true,
             "--large" => args.large = true,
             "--shards" => args.shards = Some(value("--shards").parse().expect("--shards N")),
-            "--par-stats" => args.par_stats = true,
-            "--k" => args.k = value("--k").parse().expect("--k TICKS"),
-            "--shrink-budget" => {
-                args.shrink_budget = value("--shrink-budget").parse().expect("--shrink-budget N");
-            }
             "--time-budget-secs" => {
                 let secs: u64 = value("--time-budget-secs").parse().expect("--time-budget-secs T");
                 args.time_budget = Some(Duration::from_secs(secs));
@@ -178,8 +184,7 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    let explorer =
-        Explorer { check_every: args.k, shrink_budget: args.shrink_budget, ..Explorer::default() };
+    let explorer = Explorer::default();
 
     if let Some(dir) = &args.write_presets {
         write_presets(dir);
@@ -205,334 +210,243 @@ fn main() {
     } else {
         ScenarioGen::new(args.master_seed)
     };
-
-    if args.coverage_stats {
-        coverage_stats(&explorer, &gen, &args);
-        return;
-    }
-    if args.mutate {
-        guided(&explorer, &gen, &args);
-        return;
-    }
-    blind(&explorer, &gen, &args);
+    explore(&explorer, &gen, &args);
 }
 
-/// The original blind exploration loop (E12).
-fn blind(explorer: &Explorer, gen: &ScenarioGen, args: &Args) {
-    let mode = if args.large {
-        "large"
+/// The generation envelope flag, `None` for the full envelope. It is part
+/// of a scenario's identity: the same `(master seed, index)` is a different
+/// scenario in another envelope.
+fn envelope(args: &Args) -> Option<&'static str> {
+    if args.large {
+        Some("large")
     } else if args.smoke {
-        "smoke"
+        Some("smoke")
     } else {
-        "full"
+        None
+    }
+}
+
+/// One exploration session and what its driver adds up around it.
+struct Session {
+    /// `blind` or `guided`.
+    kind: &'static str,
+    exploration: Exploration,
+    /// Seeds run before the session ended or its time budget ran out.
+    covered: u64,
+    /// Scheduled events across the session's scenarios.
+    events: usize,
+    /// Window counters merged over the session's sharded runs.
+    par: Option<ParStats>,
+    wall: Duration,
+}
+
+/// The exploring modes (see the module docs): a blind session, a guided
+/// one, or both under `--coverage-stats`; then one report and one exit rule.
+fn explore(explorer: &Explorer, gen: &ScenarioGen, args: &Args) {
+    let mode = if args.coverage_stats {
+        "coverage-stats"
+    } else if args.mutate {
+        "guided"
+    } else {
+        "blind"
+    };
+    let corpus = match &args.corpus {
+        Some(dir) => {
+            Corpus::load(dir).unwrap_or_else(|e| panic!("load corpus {}: {e}", dir.display()))
+        }
+        None => Corpus::new(),
     };
     println!(
-        "E12 explore: master seed {}, {} seeds [{}..{}), {mode} envelope, K={}{}",
+        "E12/E15 explore ({mode}): master seed {}, {} seeds [{}..{}), {} envelope{}, \
+         corpus {} entries ({} stale dropped)",
         args.master_seed,
         args.seeds,
         args.start_seed,
         args.start_seed + args.seeds,
-        args.k,
-        args.shards.map(|s| format!(", {s} shards")).unwrap_or_default()
+        envelope(args).unwrap_or("full"),
+        args.shards.map(|s| format!(", {s} shards")).unwrap_or_default(),
+        corpus.len(),
+        corpus.stale_dropped,
     );
 
+    let guided = SessionConfig {
+        shards: args.shards,
+        shrink_first: if args.shards.is_some() { 0 } else { SessionConfig::default().shrink_first },
+        ..SessionConfig::default()
+    };
+    let blind = SessionConfig { mutate_fraction: 0.0, ..guided.clone() };
     let t0 = Instant::now();
-    let mut runs = 0u64;
-    let mut events = 0usize;
-    // Slowest sharded seed and its window counters (--par-stats; --large
-    // implies it, so lookahead regressions surface in nightly fuzz logs).
-    let want_par_stats = args.par_stats || args.large;
-    let mut slowest: Option<(u64, Duration, rgb_sim::ParStats)> = None;
-    for seed in args.start_seed..args.start_seed + args.seeds {
-        if let Some(budget) = args.time_budget {
-            if t0.elapsed() > budget {
-                println!(
-                    "time budget spent after {runs}/{} seeds ({} scheduled events): clean",
-                    args.seeds, events
-                );
-                print_par_stats(&slowest);
-                return;
-            }
+    let mut sessions = Vec::new();
+    if mode != "guided" {
+        let budget = args.time_budget.map(|b| if mode == "blind" { b } else { b.mul_f64(0.4) });
+        sessions.push(session(explorer, gen, args, &blind, args.seeds, &corpus, budget));
+    }
+    if mode != "blind" {
+        // Under --coverage-stats the guided session runs as many seeds as
+        // the blind one covered, so both spend an identical budget.
+        let seeds = sessions.first().map_or(args.seeds, |s| s.covered);
+        let budget = args.time_budget.map(|b| b.saturating_sub(t0.elapsed()));
+        sessions.push(session(explorer, gen, args, &guided, seeds, &corpus, budget));
+    }
+
+    for s in &sessions {
+        let stats = &s.exploration.stats;
+        println!(
+            "{}: {} runs ({} scheduled events) -> {} distinct coverage fingerprints ({} via \
+             mutation), {} mutants run, {} corpus admissions, {} violations, {:.1}s",
+            s.kind,
+            s.covered,
+            s.events,
+            s.exploration.coverage.distinct(),
+            stats.novel_from_mutation,
+            stats.from_mutation,
+            stats.corpus_added,
+            stats.violations,
+            s.wall.as_secs_f64()
+        );
+        for (bucket, n) in s.exploration.coverage.by_bucket() {
+            println!("  bucket {bucket:<28} {n} fingerprints");
         }
-        // Sharded runs go through the parallel engine; violations are
-        // reported by (master seed, index) without shrinking (the
-        // engines are trace-equivalent, so a local sequential re-run of
-        // the same pair reproduces and shrinks it).
-        if let Some(shards) = args.shards {
-            let scenario = gen.scenario(seed);
-            let run_t0 = Instant::now();
-            let report = explorer
-                .run_scenario_par(&scenario, shards)
-                .expect("generated scenarios always validate");
-            let wall = run_t0.elapsed();
-            runs += 1;
-            events += report.scheduled_events;
-            if want_par_stats {
-                if let Some(stats) = report.par_stats {
-                    if slowest.as_ref().is_none_or(|(_, w, _)| wall > *w) {
-                        slowest = Some((seed, wall, stats));
-                    }
-                }
-            }
-            if let Some(v) = report.violation {
-                // The envelope flag is part of the scenario's identity:
-                // the same (master seed, index) means a different
-                // scenario under a different envelope.
-                let envelope = if args.large {
-                    " --large"
-                } else if args.smoke {
-                    " --smoke"
-                } else {
-                    ""
-                };
-                eprintln!("VIOLATION {v}");
-                eprintln!("  master seed : {}", args.master_seed);
-                eprintln!("  seed (index): {seed}");
-                eprintln!(
-                    "  regenerate  : explore{envelope} --master-seed {} --start-seed {seed} \
-                     --seeds 1",
-                    args.master_seed,
-                );
-                std::process::exit(1);
-            }
-            continue;
-        }
-        let exploration = explorer.explore(gen, seed, 1);
-        runs += 1;
-        for report in &exploration.reports {
-            events += report.scheduled_events;
-        }
-        if let Some(found) = exploration.found {
-            let path = found.write_artifact(&args.repro_dir).expect("write reproducer artifact");
-            eprintln!("VIOLATION {}", found.violation);
-            eprintln!("  master seed : {}", args.master_seed);
-            eprintln!("  seed (index): {}", found.seed);
-            eprintln!(
-                "  regenerate  : explore{} --master-seed {} --start-seed {} --seeds 1",
-                if args.smoke { " --smoke" } else { "" },
-                args.master_seed,
-                found.seed
-            );
-            eprintln!("  scenario    : {}", found.scenario.name);
-            eprintln!(
-                "  shrunk      : {} -> {} scheduled events in {} re-runs",
-                found.scenario.scheduled_events(),
-                found.shrunk.scheduled_events(),
-                found.shrink_attempts
-            );
-            eprintln!("  reproducer  : {}", path.display());
-            eprintln!(
-                "  replay with : cargo run -p rgb-bench --bin explore -- --replay {}",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-        if runs.is_multiple_of(50) {
+        if let Some(p) = &s.par {
             println!(
-                "  {runs}/{} seeds clean ({events} scheduled events, {:.1}s)",
-                args.seeds,
+                "  par-stats: {} windows, {} idle skipped, {} frames in {} batches (max batch {})",
+                p.windows, p.idle_skips, p.frames_batched, p.batches, p.max_batch
+            );
+        }
+    }
+    if let [blind, guided] = &sessions[..] {
+        let gain = guided.exploration.coverage.distinct() as f64
+            / blind.exploration.coverage.distinct().max(1) as f64;
+        println!("coverage gain: {gain:.2}x distinct fingerprints on an identical budget");
+    }
+    let last = sessions.last().expect("every exploring mode runs a session");
+    if let Some(dir) = &args.corpus {
+        let written = last.exploration.corpus.save(dir).expect("save corpus");
+        println!("corpus saved: {written} entries under {}", dir.display());
+    }
+    if let Some(path) = &args.stats_out {
+        write_stats_json(path, mode, &sessions);
+    }
+
+    let found: Vec<&FoundViolation> = sessions.iter().flat_map(|s| &s.exploration.found).collect();
+    for violation in &found {
+        report_violation(violation, gen, args);
+    }
+    if !found.is_empty() {
+        eprintln!("{} violation(s) this session", found.len());
+        std::process::exit(1);
+    }
+    println!("no invariant violations ({:.1}s)", t0.elapsed().as_secs_f64());
+}
+
+/// Run `seeds` seeds from `--start-seed` through [`Explorer::explore`] in
+/// blocks of [`BLOCK`], starting from `corpus` and checking `budget`
+/// between blocks.
+fn session(
+    explorer: &Explorer,
+    gen: &ScenarioGen,
+    args: &Args,
+    config: &SessionConfig,
+    seeds: u64,
+    corpus: &Corpus,
+    budget: Option<Duration>,
+) -> Session {
+    let t0 = Instant::now();
+    let kind = if config.mutate_fraction > 0.0 { "guided" } else { "blind" };
+    let mut s = Session {
+        kind,
+        exploration: Exploration::new(corpus.clone()),
+        covered: 0,
+        events: 0,
+        par: None,
+        wall: Duration::ZERO,
+    };
+    while s.covered < seeds {
+        if budget.is_some_and(|b| t0.elapsed() > b) {
+            println!("{kind}: time budget spent after {}/{seeds} seeds", s.covered);
+            break;
+        }
+        let first = args.start_seed + s.covered;
+        let n = BLOCK.min(seeds - s.covered);
+        explorer.explore(gen, first..first + n, &mut s.exploration, config);
+        for report in s.exploration.reports.drain(..) {
+            s.events += report.scheduled_events;
+            if let Some(stats) = &report.par_stats {
+                s.par.get_or_insert_with(ParStats::default).merge(stats);
+            }
+        }
+        s.covered += n;
+        if s.covered.is_multiple_of(50) {
+            println!(
+                "  {kind}: {}/{seeds} seeds, {} violations ({} scheduled events, {:.1}s)",
+                s.covered,
+                s.exploration.stats.violations,
+                s.events,
                 t0.elapsed().as_secs_f64()
             );
         }
     }
-    println!(
-        "{runs} seeds clean ({events} scheduled events, {:.1}s): no invariant violations",
-        t0.elapsed().as_secs_f64()
-    );
-    print_par_stats(&slowest);
+    s.wall = t0.elapsed();
+    s
 }
 
-/// The coverage-guided keep-and-mutate loop (E15, `--mutate`): corpus in,
-/// grown corpus out, violations reported without stopping the session.
-fn guided(explorer: &Explorer, gen: &ScenarioGen, args: &Args) {
-    let corpus_dir = args.corpus.as_deref();
-    let corpus = load_corpus(corpus_dir);
-    println!(
-        "E15 guided explore: master seed {}, {} seeds [{}..{}), corpus {} entries ({} stale \
-         dropped)",
-        args.master_seed,
-        args.seeds,
-        args.start_seed,
-        args.start_seed + args.seeds,
-        corpus.len(),
-        corpus.stale_dropped,
-    );
-    let t0 = Instant::now();
-    let (result, covered, buckets) = run_guided_chunked(
-        explorer,
-        gen,
-        args.start_seed,
-        args.seeds,
-        corpus,
-        args.time_budget,
-        t0,
-    );
-
-    println!(
-        "guided: {covered} runs, {} novel ({} via mutation), {} mutants run, {} corpus \
-         admissions, {:.1}s",
-        result.stats.novel,
-        result.stats.novel_from_mutation,
-        result.stats.from_mutation,
-        result.stats.corpus_added,
-        t0.elapsed().as_secs_f64()
-    );
-    print_buckets(&buckets);
-    if let Some(dir) = corpus_dir {
-        let written = result.corpus.save(dir).expect("save corpus");
-        println!("corpus saved: {written} entries under {}", dir.display());
-    }
-    if let Some(path) = &args.stats_out {
-        write_stats_json(
-            path,
-            "guided",
-            covered,
-            &result.stats,
-            result.coverage.distinct(),
-            &buckets,
-            None,
+/// Report one violation and write its reproducer under `--repro-dir`.
+fn report_violation(found: &FoundViolation, gen: &ScenarioGen, args: &Args) {
+    let path = found.write_artifact(&args.repro_dir).expect("write reproducer artifact");
+    eprintln!("VIOLATION {}", found.violation);
+    eprintln!("  master seed : {}", args.master_seed);
+    eprintln!("  seed (index): {}", found.seed);
+    // A mutant is not its seed's scenario: only its artifact reproduces it.
+    if found.scenario == gen.scenario(found.seed) {
+        let envelope = envelope(args).map(|e| format!(" --{e}")).unwrap_or_default();
+        eprintln!(
+            "  regenerate  : explore{envelope} --master-seed {} --start-seed {} --seeds 1",
+            args.master_seed, found.seed
         );
     }
-    if !result.found.is_empty() {
-        for found in &result.found {
-            let path = found.write_artifact(&args.repro_dir).expect("write reproducer artifact");
-            eprintln!("VIOLATION {}", found.violation);
-            eprintln!("  seed (index): {}", found.seed);
-            eprintln!("  scenario    : {}", found.scenario.name);
-            eprintln!("  reproducer  : {}", path.display());
-        }
-        eprintln!("{} violation(s) this session", result.found.len());
-        std::process::exit(1);
-    }
-}
-
-/// `--coverage-stats`: blind and cold-start guided on the identical seed
-/// budget, reporting the distinct-fingerprint comparison (E15's
-/// novelty-vs-blind measurement).
-fn coverage_stats(explorer: &Explorer, gen: &ScenarioGen, args: &Args) {
-    println!(
-        "E15 coverage stats: master seed {}, budget {} runs each, blind vs guided",
-        args.master_seed, args.seeds
-    );
-    let t0 = Instant::now();
-    // Blind block: sample the generator, fingerprint every run. A time
-    // budget (when given) is split 40/60 — guided pays for shrinking too.
-    let blind_budget = args.time_budget.map(|b| b.mul_f64(0.4));
-    let mut blind_map = CoverageMap::new();
-    let mut blind_runs = 0u64;
-    for seed in args.start_seed..args.start_seed + args.seeds {
-        if let Some(b) = blind_budget {
-            if t0.elapsed() > b {
-                break;
-            }
-        }
-        let scenario = gen.scenario(seed);
-        let mut report =
-            explorer.run_scenario(&scenario).expect("generated scenarios always validate");
-        report.seed = seed;
-        blind_map.insert(&CoverageKey::of(&scenario, &report));
-        blind_runs += 1;
-    }
-    let blind_wall = t0.elapsed();
-    println!(
-        "blind : {blind_runs} runs -> {} distinct coverage fingerprints ({:.1}s)",
-        blind_map.distinct(),
-        blind_wall.as_secs_f64()
-    );
-
-    // Guided block: same seed block, same run count, cold-start corpus —
-    // the only difference is the keep-and-mutate loop.
-    let g0 = Instant::now();
-    let (result, guided_runs, buckets) = run_guided_chunked(
-        explorer,
-        gen,
-        args.start_seed,
-        blind_runs,
-        Corpus::new(),
-        args.time_budget.map(|b| b.saturating_sub(blind_wall)),
-        g0,
-    );
-    println!(
-        "guided: {guided_runs} runs -> {} distinct coverage fingerprints ({} via mutation, \
-         {:.1}s)",
-        result.coverage.distinct(),
-        result.stats.novel_from_mutation,
-        g0.elapsed().as_secs_f64()
-    );
-    let gain = result.coverage.distinct() as f64 / blind_map.distinct().max(1) as f64;
-    println!("coverage gain: {gain:.2}x distinct fingerprints on an identical budget");
-    print_buckets(&buckets);
-    if let Some(dir) = &args.corpus {
-        let written = result.corpus.save(dir).expect("save corpus");
-        println!("corpus saved: {written} entries under {}", dir.display());
-    }
-    if let Some(path) = &args.stats_out {
-        write_stats_json(
-            path,
-            "coverage-stats",
-            guided_runs,
-            &result.stats,
-            result.coverage.distinct(),
-            &buckets,
-            Some((blind_runs, blind_map.distinct())),
+    eprintln!("  scenario    : {}", found.scenario.name);
+    if found.shrink_attempts > 0 {
+        eprintln!(
+            "  shrunk      : {} -> {} scheduled events in {} re-runs",
+            found.scenario.scheduled_events(),
+            found.shrunk.scheduled_events(),
+            found.shrink_attempts
         );
     }
-    if !result.found.is_empty() {
-        for found in &result.found {
-            let path = found.write_artifact(&args.repro_dir).expect("write reproducer artifact");
-            eprintln!("VIOLATION {} (reproducer: {})", found.violation, path.display());
-        }
-        std::process::exit(1);
-    }
+    eprintln!("  reproducer  : {}", path.display());
+    eprintln!(
+        "  replay with : cargo run -p rgb-bench --bin explore -- --replay {}",
+        path.display()
+    );
 }
 
-/// Drive [`Explorer::explore_guided`] in chunks so a time budget can cut
-/// the session between chunks; the corpus carries coverage across chunks.
-/// Returns the final result (stats summed over chunks), runs covered, and
-/// the session-level bucket table. The bucket table is summed per chunk
-/// because each chunk's map attributes buckets only to its own fresh
-/// inserts (corpus-seeded fingerprints are bare) — and every novel
-/// fingerprint is admitted to the corpus, so no chunk re-counts another's.
-fn run_guided_chunked(
-    explorer: &Explorer,
-    gen: &ScenarioGen,
-    start_seed: u64,
-    seeds: u64,
-    corpus: Corpus,
-    budget: Option<Duration>,
-    t0: Instant,
-) -> (rgb_sim::explore::GuidedExploration, u64, BTreeMap<String, usize>) {
-    const CHUNK: u64 = 25;
-    let config = GuidedConfig::default();
-    let mut corpus = corpus;
-    let mut stats = GuidedStats::default();
-    let mut found = Vec::new();
-    let mut covered = 0u64;
-    let mut coverage = CoverageMap::new();
-    let mut buckets = BTreeMap::new();
-    while covered < seeds {
-        if let Some(b) = budget {
-            if t0.elapsed() > b {
-                break;
-            }
-        }
-        let n = CHUNK.min(seeds - covered);
-        let r = explorer.explore_guided(gen, start_seed + covered, n, corpus, &config);
-        corpus = r.corpus;
-        coverage = r.coverage;
-        for (bucket, count) in coverage.by_bucket() {
-            *buckets.entry(bucket.clone()).or_insert(0) += count;
-        }
-        stats.runs += r.stats.runs;
-        stats.from_mutation += r.stats.from_mutation;
-        stats.novel += r.stats.novel;
-        stats.novel_from_mutation += r.stats.novel_from_mutation;
-        stats.corpus_added += r.stats.corpus_added;
-        stats.violations += r.stats.violations;
-        found.extend(r.found);
-        covered += n;
+/// Minimal hand-rolled JSON stats dump for artifact upload: the last
+/// session's counters, preceded by the run count and distinct fingerprints
+/// of any session before it (the blind one of `--coverage-stats`).
+fn write_stats_json(path: &Path, mode: &str, sessions: &[Session]) {
+    let (last, earlier) = sessions.split_last().expect("every exploring mode runs a session");
+    let mut json = format!("{{\"mode\":\"{mode}\",\"runs\":{},", last.covered);
+    for s in earlier {
+        let distinct = s.exploration.coverage.distinct();
+        json += &format!("\"{0}_runs\":{1},\"{0}_distinct\":{distinct},", s.kind, s.covered);
     }
-    (rgb_sim::explore::GuidedExploration { stats, coverage, corpus, found }, covered, buckets)
+    let stats = &last.exploration.stats;
+    let buckets: Vec<String> =
+        last.exploration.coverage.by_bucket().iter().map(|(b, n)| format!("\"{b}\":{n}")).collect();
+    json += &format!(
+        "\"{}_distinct\":{},\"novel\":{},\"novel_from_mutation\":{},\"from_mutation\":{},\
+         \"corpus_added\":{},\"violations\":{},\"by_bucket\":{{{}}}}}\n",
+        last.kind,
+        last.exploration.coverage.distinct(),
+        stats.novel,
+        stats.novel_from_mutation,
+        stats.from_mutation,
+        stats.corpus_added,
+        stats.violations,
+        buckets.join(","),
+    );
+    std::fs::write(path, json).expect("write stats json");
+    println!("stats written to {}", path.display());
 }
 
 /// Replay every `.scn` under `dir` on the sequential and the sharded
@@ -562,25 +476,15 @@ fn corpus_replay(explorer: &Explorer, dir: &Path, shards: usize) {
         let stride = (scenario.duration / 16).max(1);
         let mut seq = scenario.try_build_sim().expect("artifact validates");
         let mut par = scenario.try_build_par(shards).expect("artifact validates");
-        let mut t = 0u64;
         let mut checkpoints = 0usize;
-        let mut diverged = false;
-        while t < scenario.duration {
-            t = (t + stride).min(scenario.duration);
-            seq.run_until(t);
-            par.run_until(t);
+        let diverged = seq.run_observed(scenario.duration, stride, |s| {
+            par.run_until(s.now);
             checkpoints += 1;
-            if seq.system_digest(false) != par.system_digest(false) {
-                eprintln!(
-                    "DIGEST DIVERGENCE {} at t={t} (checkpoint {checkpoints})",
-                    scenario.name
-                );
-                diverged = true;
-                failed = true;
-                break;
-            }
-        }
-        if diverged {
+            s.system_digest(false) == par.system_digest(false)
+        });
+        if let Some(t) = diverged {
+            eprintln!("DIGEST DIVERGENCE {} at t={t} (checkpoint {checkpoints})", scenario.name);
+            failed = true;
             continue;
         }
         // Oracle pass on the sequential engine (the engines were just
@@ -648,18 +552,16 @@ fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
     // that obs instrumentation never perturbs the protocol.
     let stride = (scenario.duration / 16).max(1);
     let mut timeline = Timeline::new();
-    let mut t = 0u64;
     let mut checkpoints = 0usize;
-    while t < scenario.duration {
-        t = (t + stride).min(scenario.duration);
-        seq.run_until(t);
-        par.run_until(t);
-        timeline.sample(t, t0.elapsed().as_nanos(), &par.metrics());
+    let diverged = seq.run_observed(scenario.duration, stride, |s| {
+        par.run_until(s.now);
+        timeline.sample(s.now, t0.elapsed().as_nanos(), &par.metrics());
         checkpoints += 1;
-        if seq.system_digest(false) != par.system_digest(false) {
-            eprintln!("DIGEST DIVERGENCE with obs enabled at t={t} (checkpoint {checkpoints})");
-            std::process::exit(1);
-        }
+        s.system_digest(false) == par.system_digest(false)
+    });
+    if let Some(t) = diverged {
+        eprintln!("DIGEST DIVERGENCE with obs enabled at t={t} (checkpoint {checkpoints})");
+        std::process::exit(1);
     }
     let wall_nanos = t0.elapsed().as_nanos();
     println!(
@@ -694,72 +596,6 @@ fn obs_run(name: &str, out: Option<&Path>, shards: usize) {
             println!("obs documents written to {} and {}", path.display(), prom.display());
         }
         None => print!("{}", obs_json(&report)),
-    }
-}
-
-fn load_corpus(dir: Option<&Path>) -> Corpus {
-    match dir {
-        Some(dir) => {
-            Corpus::load(dir).unwrap_or_else(|e| panic!("load corpus {}: {e}", dir.display()))
-        }
-        None => Corpus::new(),
-    }
-}
-
-fn print_buckets(buckets: &BTreeMap<String, usize>) {
-    for (bucket, n) in buckets {
-        println!("  bucket {bucket:<28} {n} fingerprints");
-    }
-}
-
-/// Minimal hand-rolled JSON stats dump for nightly artifact upload.
-#[allow(clippy::too_many_arguments)]
-fn write_stats_json(
-    path: &Path,
-    mode: &str,
-    runs: u64,
-    stats: &GuidedStats,
-    distinct: usize,
-    buckets: &BTreeMap<String, usize>,
-    blind: Option<(u64, usize)>,
-) {
-    let mut bucket_json = String::new();
-    for (i, (bucket, n)) in buckets.iter().enumerate() {
-        if i > 0 {
-            bucket_json.push(',');
-        }
-        bucket_json.push_str(&format!("\"{bucket}\":{n}"));
-    }
-    let blind_part = blind
-        .map(|(runs, distinct)| format!("\"blind_runs\":{runs},\"blind_distinct\":{distinct},"))
-        .unwrap_or_default();
-    let json = format!(
-        "{{\"mode\":\"{mode}\",\"runs\":{runs},{blind_part}\"guided_distinct\":{distinct},\
-         \"novel\":{},\"novel_from_mutation\":{},\"from_mutation\":{},\"corpus_added\":{},\
-         \"violations\":{},\"by_bucket\":{{{bucket_json}}}}}\n",
-        stats.novel,
-        stats.novel_from_mutation,
-        stats.from_mutation,
-        stats.corpus_added,
-        stats.violations,
-    );
-    std::fs::write(path, json).expect("write stats json");
-    println!("stats written to {}", path.display());
-}
-
-/// Window/batching counters of the slowest sharded seed (`--par-stats`).
-fn print_par_stats(slowest: &Option<(u64, Duration, rgb_sim::ParStats)>) {
-    if let Some((seed, wall, stats)) = slowest {
-        println!(
-            "par-stats (slowest seed {seed}, {:.2}s): {} windows, {} idle skipped, {} frames in \
-             {} batches (max batch {})",
-            wall.as_secs_f64(),
-            stats.windows,
-            stats.idle_skips,
-            stats.frames_batched,
-            stats.batches,
-            stats.max_batch
-        );
     }
 }
 

@@ -120,11 +120,6 @@ impl Histogram {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
     }
-
-    /// Iterate `(value, count)` buckets in increasing value order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets.iter().map(|(&v, &n)| (v, n))
-    }
 }
 
 /// The three latency surfaces tracked per ring level.

@@ -42,7 +42,6 @@ pub struct Cluster {
     worker_nodes: Vec<usize>,
     handles: Vec<JoinHandle<()>>,
     shared: Arc<ReactorShared>,
-    tick: Duration,
 }
 
 impl Cluster {
@@ -135,21 +134,7 @@ impl Cluster {
             }
         }
 
-        Ok(Cluster {
-            layout,
-            router,
-            events_rx,
-            worker_txs,
-            worker_nodes,
-            handles,
-            shared,
-            tick: live.tick,
-        })
-    }
-
-    /// One protocol tick's real-time duration.
-    pub fn tick(&self) -> Duration {
-        self.tick
+        Ok(Cluster { layout, router, events_rx, worker_txs, worker_nodes, handles, shared })
     }
 
     /// Number of reactor workers actually running.

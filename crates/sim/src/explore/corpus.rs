@@ -1,24 +1,28 @@
-//! The persistent scenario corpus and the coverage-guided
-//! keep-and-mutate exploration loop.
+//! The persistent scenario corpus and the one exploration loop.
 //!
-//! Blind exploration ([`Explorer::explore`]) treats every seed as
-//! independent; this module closes the loop, moirai-fuzz-style: every run
-//! is fingerprinted ([`CoverageKey`]), a run with **novel** coverage earns
-//! its scenario a [`CorpusEntry`] (with lineage metadata: generation,
-//! parent, the operator that produced it), and corpus entries are re-fed
-//! through the single-dimension mutation operators of
-//! [`ScenarioGen::mutate`]. Entries persist as `rgb-scenario v1` artifacts
-//! in a directory ([`Corpus::load`] / [`Corpus::save`]), deduplicated by
-//! coverage fingerprint; stale seeds — artifacts that no longer validate
-//! against the current scenario schema — are discarded at load.
+//! [`Explorer::explore`] runs a block of generator seeds into an
+//! [`Exploration`] session. Each run is a fresh [`ScenarioGen::scenario`]
+//! sample or, moirai-fuzz-style, a single-dimension [`ScenarioGen::mutate`]
+//! child of a corpus entry; every run is fingerprinted ([`CoverageKey`]),
+//! and a run with **novel** coverage earns its scenario a [`CorpusEntry`]
+//! (with lineage metadata: generation, parent, the operator that produced
+//! it). Blind and guided exploration are two settings of this loop, not two
+//! loops: with [`SessionConfig::mutate_fraction`] at `0.0` no run is a
+//! mutant, so a block is exactly `gen.scenario(seed)` for each of its seeds,
+//! fingerprinted like any other. Entries persist as `rgb-scenario v1`
+//! artifacts in a directory ([`Corpus::load`] / [`Corpus::save`]),
+//! deduplicated by coverage fingerprint; stale seeds — artifacts that no
+//! longer validate against the current scenario schema — are discarded at
+//! load.
 
 use super::artifact::{self, ArtifactMeta};
 use super::coverage::{CoverageKey, CoverageMap};
 use super::gen::ScenarioGen;
-use super::{Explorer, FoundViolation};
+use super::{Explorer, FoundViolation, RunReport};
 use crate::rng::SplitMix64;
 use crate::scenario::Scenario;
 use rgb_core::prelude::*;
+use std::ops::Range;
 use std::path::Path;
 
 /// One corpus entry: a scenario admitted for novel coverage, plus the
@@ -139,43 +143,40 @@ impl Corpus {
         }
         Ok(self.entries.len())
     }
-
-    /// Seed `map` with every persisted admission fingerprint, so a
-    /// resumed session doesn't re-admit behaviours it already holds.
-    pub fn seed_coverage(&self, map: &mut CoverageMap) {
-        for entry in &self.entries {
-            if let Some(fp) = entry.meta.coverage {
-                map.insert_fingerprint(fp);
-            }
-        }
-    }
 }
 
-/// Tuning for [`Explorer::explore_guided`].
+/// Tuning for [`Explorer::explore`].
 #[derive(Debug, Clone)]
-pub struct GuidedConfig {
+pub struct SessionConfig {
     /// Ceiling on the adaptive mutation probability. The loop steers its
     /// budget between fresh sampling and corpus mutation by their recent
-    /// novelty rates (exponentially decayed per arm); this caps how hard it may lean
-    /// on mutation, and `0.0` disables mutation entirely.
+    /// novelty rates (exponentially decayed per arm); this caps how hard it
+    /// may lean on mutation, and `0.0` disables mutation entirely: blind
+    /// exploration.
     pub mutate_fraction: f64,
     /// Parents above this node count are kept as coverage seeds but not
     /// mutated — the loop must stay affordable per run.
     pub mutation_node_cap: usize,
     /// Parents above this duration are likewise not mutated.
     pub mutation_duration_cap: u64,
-    /// Shrink at most this many violations (ddmin re-runs the scenario
-    /// hundreds of times; later finds are recorded unshrunk).
+    /// Shrink at most this many of a session's violations (ddmin re-runs
+    /// the scenario hundreds of times; later finds are recorded unshrunk).
     pub shrink_first: usize,
+    /// Run every scenario on the sharded parallel engine with this many
+    /// shards ([`Explorer::run_scenario_par`]) instead of the sequential
+    /// one. The engines are trace-equivalent, so the oracles and the
+    /// coverage keys see the same digests either way.
+    pub shards: Option<usize>,
 }
 
-impl Default for GuidedConfig {
+impl Default for SessionConfig {
     fn default() -> Self {
-        GuidedConfig {
+        SessionConfig {
             mutate_fraction: 0.9,
             mutation_node_cap: 2_000,
             mutation_duration_cap: 50_000,
             shrink_first: 3,
+            shards: None,
         }
     }
 }
@@ -234,9 +235,9 @@ impl ArmRates {
     }
 }
 
-/// Counters of one guided session.
+/// Counters of one exploration session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GuidedStats {
+pub struct SessionStats {
     /// Total runs executed.
     pub runs: u64,
     /// Runs produced by mutating a corpus parent.
@@ -252,93 +253,112 @@ pub struct GuidedStats {
     pub violations: usize,
 }
 
-/// Result of a guided session: stats, the final coverage map, the grown
-/// corpus, and every violation found (the first
-/// [`GuidedConfig::shrink_first`] shrunk to minimal reproducers).
-#[derive(Debug, Clone)]
-pub struct GuidedExploration {
+/// An exploration session: what [`Explorer::explore`] has run and found
+/// over every block of seeds it was handed.
+#[derive(Debug, Clone, Default)]
+pub struct Exploration {
     /// Session counters.
-    pub stats: GuidedStats,
-    /// The coverage map after the session (corpus-seeded).
+    pub stats: SessionStats,
+    /// Every fingerprint seen, the starting corpus's included. Its
+    /// per-bucket counts cover the session's own novel runs (a corpus
+    /// fingerprint is stored bare).
     pub coverage: CoverageMap,
-    /// The corpus after the session (input entries plus admissions).
+    /// The starting corpus plus the session's admissions.
     pub corpus: Corpus,
-    /// Violations found, in discovery order. Unlike
-    /// [`Explorer::explore`], the guided loop does **not** stop at the
-    /// first violation — novelty search continues on the remaining
-    /// budget.
+    /// Violations in discovery order, the first
+    /// [`SessionConfig::shrink_first`] shrunk to minimal reproducers. A
+    /// violation does not stop the session.
     pub found: Vec<FoundViolation>,
+    /// One report per run, in run order; a long session's driver drains
+    /// it between blocks.
+    pub reports: Vec<RunReport>,
+}
+
+impl Exploration {
+    /// A session that starts from `corpus`, whose persisted admission
+    /// fingerprints count as seen — a resumed session does not re-admit
+    /// behaviours it already holds.
+    pub fn new(corpus: Corpus) -> Self {
+        let mut coverage = CoverageMap::new();
+        for fp in corpus.entries.iter().filter_map(|e| e.meta.coverage) {
+            coverage.insert_fingerprint(fp);
+        }
+        Exploration { coverage, corpus, ..Exploration::default() }
+    }
 }
 
 impl Explorer {
-    /// The coverage-guided keep-and-mutate loop: `count` runs starting at
-    /// `first_seed`, each either a fresh [`ScenarioGen::scenario`] sample
-    /// or a [`ScenarioGen::mutate`] child of a corpus entry
-    /// ([`GuidedConfig::mutate_fraction`] of the time, once the corpus
-    /// has an affordable parent). A run with a novel [`CoverageKey`]
-    /// fingerprint admits its scenario to the corpus with lineage
-    /// metadata; everything else is discarded. Deterministic for a given
-    /// `(gen, first_seed, count, corpus, config)`.
-    pub fn explore_guided(
+    /// Run the seeds `seeds` of `gen` into `session`, one run per seed:
+    /// a fresh [`ScenarioGen::scenario`] sample, or — with a probability
+    /// of at most [`SessionConfig::mutate_fraction`], once the corpus has
+    /// an affordable parent — a [`ScenarioGen::mutate`] child of a corpus
+    /// entry. A run with a novel [`CoverageKey`] fingerprint admits its
+    /// scenario to the corpus with lineage metadata. A violating run is
+    /// recorded, shrunk while the session holds fewer than
+    /// [`SessionConfig::shrink_first`] finds, and the block goes on.
+    ///
+    /// Each call restarts the arm rates and the scheduling stream from
+    /// `seeds.start`, so where a session is cut into blocks decides which
+    /// mutants it runs; with mutation off it decides nothing. Deterministic
+    /// for a given `(gen, seeds, session, config)`.
+    pub fn explore(
         &self,
         gen: &ScenarioGen,
-        first_seed: u64,
-        count: u64,
-        corpus: Corpus,
-        config: &GuidedConfig,
-    ) -> GuidedExploration {
-        let mut corpus = corpus;
-        let mut coverage = CoverageMap::new();
-        corpus.seed_coverage(&mut coverage);
-        let mut stats = GuidedStats::default();
-        let mut found = Vec::new();
+        seeds: Range<u64>,
+        session: &mut Exploration,
+        config: &SessionConfig,
+    ) {
+        let Exploration { stats, coverage, corpus, found, reports } = session;
         // Scheduling RNG: which arm each run takes and which parent it
         // mutates. Separate from both the generation and mutation
         // streams so arm choice never perturbs scenario content.
-        let mut sched = SplitMix64::new(first_seed ^ 0x6775_6964_6564);
+        let mut sched = SplitMix64::new(seeds.start ^ 0x6775_6964_6564);
         let mut arms = ArmRates::new();
 
-        for i in 0..count {
-            let seed = first_seed + i;
+        for seed in seeds {
             let p_mutate = if config.mutate_fraction <= 0.0 {
                 0.0
             } else {
                 arms.p_mutate(config.mutate_fraction)
             };
-            let parent_idx = self.pick_parent(&corpus, p_mutate, config, &mut sched);
-            let (scenario, parent_meta, operator) = match parent_idx {
-                Some(p) => {
-                    let mutated = gen.mutate(&corpus.entries[p].scenario, seed);
-                    stats.from_mutation += 1;
-                    (
-                        mutated.scenario,
-                        Some((
-                            corpus.entries[p].scenario.name.clone(),
-                            corpus.entries[p].meta.generation,
-                        )),
-                        Some(mutated.op.short().to_string()),
-                    )
-                }
-                None => (gen.scenario(seed), None, None),
-            };
+            // A mutant's lineage: its parent, its generation and the
+            // operator that produced it.
+            let (scenario, parent, generation, operator) =
+                match self.pick_parent(corpus, p_mutate, config, &mut sched) {
+                    Some(parent) => {
+                        let mutated = gen.mutate(&parent.scenario, seed);
+                        stats.from_mutation += 1;
+                        (
+                            mutated.scenario,
+                            Some(parent.scenario.name.clone()),
+                            parent.meta.generation + 1,
+                            Some(mutated.op.short().to_string()),
+                        )
+                    }
+                    None => (gen.scenario(seed), None, 0, None),
+                };
 
-            let mut report =
-                self.run_scenario(&scenario).expect("generated and mutated scenarios validate");
+            let mut report = match config.shards {
+                Some(shards) => self.run_scenario_par(&scenario, shards),
+                None => self.run_scenario(&scenario),
+            }
+            .expect("generated and mutated scenarios validate");
             report.seed = seed;
             stats.runs += 1;
             let key = CoverageKey::of(&scenario, &report);
             let violation = report.violation.clone();
+            reports.push(report);
 
             let novel = coverage.insert(&key);
-            arms.record(parent_idx.is_some(), novel);
+            arms.record(parent.is_some(), novel);
             if novel {
                 stats.novel += 1;
-                if parent_meta.is_some() {
+                if parent.is_some() {
                     stats.novel_from_mutation += 1;
                 }
                 let meta = ArtifactMeta {
-                    generation: parent_meta.as_ref().map_or(0, |(_, g)| g + 1),
-                    parent: parent_meta.map(|(name, _)| name),
+                    generation,
+                    parent,
                     operator,
                     coverage: Some(key.fingerprint()),
                     oracle: violation.as_ref().map(|v| v.oracle.to_string()),
@@ -372,34 +392,32 @@ impl Explorer {
                 }
             }
         }
-
-        GuidedExploration { stats, coverage, corpus, found }
     }
 
     /// Pick an affordable mutation parent, or `None` for a fresh sample.
-    fn pick_parent(
+    fn pick_parent<'c>(
         &self,
-        corpus: &Corpus,
+        corpus: &'c Corpus,
         p_mutate: f64,
-        config: &GuidedConfig,
+        config: &SessionConfig,
         sched: &mut SplitMix64,
-    ) -> Option<usize> {
+    ) -> Option<&'c CorpusEntry> {
         // Burn the arm roll unconditionally so the schedule stream stays
         // aligned whether or not the corpus has eligible parents yet.
-        let mutate = sched.chance(p_mutate);
-        let eligible: Vec<usize> = corpus
+        if !sched.chance(p_mutate) {
+            return None;
+        }
+        let eligible: Vec<&CorpusEntry> = corpus
             .entries
             .iter()
-            .enumerate()
-            .filter(|(_, e)| {
+            .filter(|e| {
                 let nodes =
                     HierarchySpec::new(e.scenario.height, e.scenario.ring_size).node_count();
                 nodes <= config.mutation_node_cap
                     && e.scenario.duration <= config.mutation_duration_cap
             })
-            .map(|(i, _)| i)
             .collect();
-        if !mutate || eligible.is_empty() {
+        if eligible.is_empty() {
             return None;
         }
         // Frontier bias: half the draws mutate one of the newest
@@ -500,9 +518,10 @@ mod tests {
     fn guided_loop_is_deterministic_and_grows_the_corpus() {
         let gen = ScenarioGen::smoke(41);
         let explorer = Explorer::default();
-        let config = GuidedConfig::default();
-        let a = explorer.explore_guided(&gen, 0, 25, Corpus::new(), &config);
-        let b = explorer.explore_guided(&gen, 0, 25, Corpus::new(), &config);
+        let config = SessionConfig::default();
+        let (mut a, mut b) = (Exploration::default(), Exploration::default());
+        explorer.explore(&gen, 0..25, &mut a, &config);
+        explorer.explore(&gen, 0..25, &mut b, &config);
         assert_eq!(a.stats, b.stats, "guided exploration must be deterministic");
         assert_eq!(a.corpus.len(), b.corpus.len());
         assert_eq!(a.stats.runs, 25);
@@ -526,13 +545,44 @@ mod tests {
         let explorer = Explorer::default();
         // Fresh-only sampling in both sessions, so the second session
         // replays the exact scenarios of the first.
-        let config = GuidedConfig { mutate_fraction: 0.0, ..GuidedConfig::default() };
-        let first = explorer.explore_guided(&gen, 0, 15, Corpus::new(), &config);
+        let config = SessionConfig { mutate_fraction: 0.0, ..SessionConfig::default() };
+        let mut first = Exploration::default();
+        explorer.explore(&gen, 0..15, &mut first, &config);
         assert!(first.stats.corpus_added > 0);
         // Re-running the same block against the grown corpus re-admits
         // nothing: every fingerprint is already persisted.
-        let again = explorer.explore_guided(&gen, 0, 15, first.corpus.clone(), &config);
+        let mut again = Exploration::new(first.corpus.clone());
+        explorer.explore(&gen, 0..15, &mut again, &config);
         assert_eq!(again.stats.corpus_added, 0, "known coverage must not be re-admitted");
         assert_eq!(again.corpus.len(), first.corpus.len());
+    }
+
+    #[test]
+    fn mutation_off_runs_the_blind_block() {
+        // Blind exploration is this loop with mutation off: over two blocks
+        // of one session every run is the generator's own scenario for its
+        // seed, and the session's coverage is what running those scenarios
+        // one by one gives.
+        let gen = ScenarioGen::smoke(5);
+        let explorer = Explorer::default();
+        let config = SessionConfig { mutate_fraction: 0.0, ..SessionConfig::default() };
+        let mut session = Exploration::default();
+        explorer.explore(&gen, 7..32, &mut session, &config);
+        explorer.explore(&gen, 32..37, &mut session, &config);
+        assert_eq!(session.stats.from_mutation, 0, "mutation off runs no mutant");
+        assert_eq!(session.reports.len(), 30);
+
+        let mut blind = CoverageMap::new();
+        for (report, seed) in session.reports.iter().zip(7..37) {
+            let scenario = gen.scenario(seed);
+            let direct = explorer.run_scenario(&scenario).expect("generated scenarios validate");
+            assert_eq!((report.seed, report.scenario.as_str()), (seed, scenario.name.as_str()));
+            let key = CoverageKey::of(&scenario, &direct);
+            assert_eq!(CoverageKey::of(&scenario, report), key, "seed {seed}");
+            blind.insert(&key);
+        }
+        assert_eq!(session.coverage.distinct(), blind.distinct());
+        assert_eq!(session.coverage.by_bucket(), blind.by_bucket());
+        assert_eq!(session.stats.novel, blind.distinct() as u64);
     }
 }

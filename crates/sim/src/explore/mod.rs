@@ -13,14 +13,21 @@
 //!    into [`oracle::Oracle`]s evaluated every K ticks through
 //!    [`Simulation::run_observed`](crate::sim::Simulation::run_observed), with a quiescence-aware gate for the
 //!    convergence claims;
-//! 3. [`Explorer`] drives N seeds, records a compact observation trace per
-//!    run, and on violation delta-debugs the scenario to a minimal
-//!    reproducer ([`mod@shrink`]) persisted as a replayable text artifact
-//!    ([`artifact`]) under `tests/repros/`.
+//! 3. [`Explorer::explore`] is the one session loop: it runs blocks of
+//!    seeds, records a compact observation trace per run, fingerprints
+//!    every run's behaviour ([`coverage`]), grows a corpus of novel
+//!    scenarios ([`corpus`]) and, with mutation on, mutates corpus entries
+//!    instead of sampling fresh ones — blind exploration is the same loop
+//!    with [`SessionConfig::mutate_fraction`] at `0.0`. A violation is
+//!    recorded without stopping the session and the first few are
+//!    delta-debugged to minimal reproducers ([`mod@shrink`]), persisted as
+//!    replayable text artifacts ([`artifact`]) under `tests/repros/`.
 //!
-//! The nightly CI job runs a fixed seed block through this module; the PR
-//! pipeline replays the bounded smoke block
-//! (`cargo run -p rgb-bench --bin explore -- --seeds 200 --smoke`).
+//! The nightly CI job runs a date-derived seed block through this module
+//! with mutation on; the PR pipeline runs the bounded smoke block blind
+//! and guided (`explore -- --seeds 200 --smoke` and
+//! `explore -- --coverage-stats --seeds 200 --smoke`, both
+//! `cargo run -p rgb-bench --bin`).
 
 pub mod artifact;
 pub mod corpus;
@@ -29,7 +36,7 @@ pub mod gen;
 pub mod oracle;
 pub mod shrink;
 
-pub use corpus::{Corpus, CorpusEntry, GuidedConfig, GuidedExploration, GuidedStats};
+pub use corpus::{Corpus, CorpusEntry, Exploration, SessionConfig, SessionStats};
 pub use coverage::{CoverageKey, CoverageMap, RunOutcome};
 pub use gen::{GenLimits, Mutated, MutationOp, ScenarioGen};
 pub use oracle::{standard_oracles, Oracle, Violation};
@@ -114,7 +121,8 @@ pub struct RunReport {
     pub repair_p99: Option<u64>,
 }
 
-/// A violation found by [`Explorer::explore`], with its shrunk reproducer.
+/// A violation found by [`Explorer::explore`], with its reproducer: shrunk,
+/// or past [`SessionConfig::shrink_first`] the scenario itself.
 #[derive(Debug, Clone)]
 pub struct FoundViolation {
     /// Generator index that produced the failing scenario.
@@ -139,22 +147,6 @@ impl FoundViolation {
         let path = dir.join(format!("repro_{}_seed{}.scn", self.violation.oracle, self.seed));
         std::fs::write(&path, &self.artifact)?;
         Ok(path)
-    }
-}
-
-/// Summary of an exploration session.
-#[derive(Debug, Clone)]
-pub struct Exploration {
-    /// Per-seed reports, in execution order (stops after a violation).
-    pub reports: Vec<RunReport>,
-    /// The first violation found, shrunk, if any.
-    pub found: Option<FoundViolation>,
-}
-
-impl Exploration {
-    /// Total simulated runs.
-    pub fn runs(&self) -> usize {
-        self.reports.len()
     }
 }
 
@@ -292,27 +284,6 @@ impl Explorer {
             repair_p50: levels.repair_quantile(0.5),
             repair_p99: levels.repair_quantile(0.99),
         }
-    }
-
-    /// Explore `count` seeds starting at `first_seed`: generate, run,
-    /// and on the first violation shrink it to a minimal reproducer (the
-    /// cut is accepted only when the **same oracle** fires again) and
-    /// render its artifact. Exploration stops at the first violation.
-    pub fn explore(&self, gen: &ScenarioGen, first_seed: u64, count: u64) -> Exploration {
-        let mut reports = Vec::new();
-        for seed in first_seed..first_seed + count {
-            let scenario = gen.scenario(seed);
-            let mut report =
-                self.run_scenario(&scenario).expect("generated scenarios always validate");
-            report.seed = seed;
-            let violation = report.violation.clone();
-            reports.push(report);
-            if let Some(violation) = violation {
-                let found = self.shrink_violation(seed, &scenario, &violation);
-                return Exploration { reports, found: Some(found) };
-            }
-        }
-        Exploration { reports, found: None }
     }
 
     /// Shrink a failing scenario against the standard oracle battery,

@@ -3,7 +3,7 @@
 //! intra-AS links between ring peers, inter-AS links between tiers).
 
 use crate::rng::SplitMix64;
-use rgb_core::prelude::{NodeId, Tier};
+use rgb_core::prelude::NodeId;
 use rgb_core::topology::{HierarchyLayout, NodeIdx, NodeIndexer};
 use serde::{Deserialize, Serialize};
 
@@ -218,11 +218,6 @@ impl NetworkModel {
         Ok(NetworkModel { cfg })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
-    }
-
     /// Classify an NE-to-NE transmission.
     pub fn classify(&self, layout: &HierarchyLayout, from: NodeId, to: NodeId) -> LinkClass {
         let (Ok(a), Ok(b)) = (layout.placement(from), layout.placement(to)) else {
@@ -273,11 +268,6 @@ impl NetworkModel {
         } else {
             0
         }
-    }
-
-    /// Tier of a node (diagnostics).
-    pub fn tier(&self, layout: &HierarchyLayout, node: NodeId) -> Option<Tier> {
-        layout.placement(node).ok().map(|p| p.tier)
     }
 
     /// Decide the fate of one NE-to-NE frame of `class`: `None` when the

@@ -6,9 +6,9 @@
 //! The wheel pops in strict `(at, key)` order whichever container holds an
 //! entry, and an [`EventKey`] derives from its event's provenance, not from
 //! push order: that is why the sequential and the sharded-parallel engine
-//! drain identical events in an identical global order. The plain-heap
-//! ordering the wheel must reproduce lives on in this module's tests, which
-//! run whole scenarios on both and assert identical traces.
+//! drain identical events in an identical global order. That the wheel pops
+//! what a sorted set pops is `rgb_core::wheel`'s property test; this
+//! module's tests run the queue production runs.
 
 use bytes::Bytes;
 use rgb_core::prelude::*;
@@ -152,17 +152,10 @@ impl EventKind {
     }
 }
 
-/// Where the queue keeps its events: the wheel, or under test the
-/// reference ordering it must reproduce (`tests::Store`).
-#[cfg(not(test))]
-type Store = Wheel<Event>;
-#[cfg(test)]
-use tests::Store;
-
 /// The simulator's queue (see the module docs).
 #[derive(Debug, Default)]
 pub(crate) struct EventQueue {
-    events: Store,
+    events: Wheel<Event>,
     peak_len: usize,
     /// Queued entries whose kind [`EventKind::is_disruption`].
     disruptions: usize,
@@ -226,64 +219,8 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetConfig;
-    use crate::scenario::{Scenario, ScenarioOutcome};
-    use crate::sim::Simulation;
-    use crate::workload::ChurnParams;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    // `scenarios(seed)`: the matrix `tests/engine_determinism.rs` runs on
-    // the default engine, run by the last two tests below on both orders.
-    include!("../tests/common/determinism.rs");
 
     const SLOTS: u64 = Wheel::<Event>::SLOTS;
-
-    /// The queue's store under test: the wheel, or once `reference` is
-    /// set, the pure-heap reference ordering it must reproduce.
-    #[derive(Debug, Default)]
-    pub(super) struct Store {
-        wheel: Wheel<Event>,
-        reference: Option<BinaryHeap<Reverse<Event>>>,
-    }
-
-    impl Store {
-        pub(super) fn len(&self) -> usize {
-            self.reference.as_ref().map_or(self.wheel.len(), BinaryHeap::len)
-        }
-
-        pub(super) fn capacity(&self) -> usize {
-            self.wheel.capacity()
-        }
-
-        pub(super) fn push(&mut self, event: Event) {
-            match &mut self.reference {
-                Some(heap) => heap.push(Reverse(event)),
-                None => self.wheel.push(event),
-            }
-        }
-
-        pub(super) fn peek(&mut self) -> Option<&Event> {
-            match &mut self.reference {
-                Some(heap) => heap.peek().map(|Reverse(ev)| ev),
-                None => self.wheel.peek(),
-            }
-        }
-
-        pub(super) fn pop(&mut self) -> Option<Event> {
-            match &mut self.reference {
-                Some(heap) => heap.pop().map(|Reverse(ev)| ev),
-                None => self.wheel.pop(),
-            }
-        }
-    }
-
-    /// Move every entry `q` holds onto the reference ordering, which then
-    /// serves every later push and pop.
-    fn use_reference(q: &mut EventQueue) {
-        let store = &mut q.events;
-        store.reference = Some(std::iter::from_fn(|| store.wheel.pop()).map(Reverse).collect());
-    }
 
     fn crash(node: u64) -> EventKind {
         EventKind::Crash { node: NodeId(node) }
@@ -293,15 +230,6 @@ mod tests {
         EventKind::Timer { node: NodeIdx(node), kind: TimerKind::Heartbeat, gen }
     }
 
-    /// A queue on the wheel, or on the reference heap.
-    fn queue(reference: bool) -> EventQueue {
-        let mut q = EventQueue::default();
-        if reference {
-            use_reference(&mut q);
-        }
-        q
-    }
-
     fn push(q: &mut EventQueue, at: u64, key: EventKey, kind: EventKind) {
         q.push(Event { at, key, kind });
     }
@@ -309,32 +237,6 @@ mod tests {
     /// Drain a queue to `(at, key)` pairs.
     fn drain(q: &mut EventQueue) -> Vec<(u64, EventKey)> {
         std::iter::from_fn(|| q.pop()).map(|ev| (ev.at, ev.key)).collect()
-    }
-
-    #[test]
-    fn wheel_and_heap_agree_on_global_order() {
-        // Interleave timers and non-timers with colliding timestamps and
-        // out-of-order keys; both queues must pop the identical (at, key)
-        // stream.
-        let mut orders = Vec::new();
-        for reference in [false, true] {
-            let mut q = queue(reference);
-            for i in 0..200u64 {
-                let at = (i * 7) % 50;
-                if i % 3 == 0 {
-                    push(&mut q, at, EventKey::scheduled(i), crash(i));
-                } else {
-                    // Descending src within a tick: key order != push order.
-                    push(&mut q, at, EventKey::emitted(200 - i as u32, i % 5), timer(i as u32, i));
-                }
-            }
-            orders.push(drain(&mut q));
-        }
-        assert_eq!(orders[0], orders[1]);
-        // (at, key) must be sorted, scheduled before runtime at each tick.
-        let mut sorted = orders[0].clone();
-        sorted.sort_unstable();
-        assert_eq!(orders[0], sorted);
     }
 
     #[test]
@@ -382,36 +284,32 @@ mod tests {
         // drained without any wrapping `floor + SLOTS` arithmetic —
         // including once the floor itself has advanced into the last wheel
         // rotation before u64::MAX.
-        for reference in [false, true] {
-            let mut q = queue(reference);
-            push(&mut q, u64::MAX, EventKey::scheduled(0), crash(1));
-            push(&mut q, u64::MAX - 1, EventKey::emitted(3, 0), timer(3, 1));
-            push(&mut q, 7, EventKey::emitted(1, 0), timer(1, 1));
-            push(&mut q, u64::MAX, EventKey::emitted(2, 5), timer(2, 2));
-            let mut seen = Vec::new();
-            while let Some(ev) = q.pop() {
-                // Once the floor sits one tick below u64::MAX, push an entry
-                // at u64::MAX itself: on the wheel this is admitted *into a
-                // bucket* (at - floor = 1), so the bucket scan runs at the
-                // very top of the tick range.
-                if ev.at == u64::MAX - 1 {
-                    push(&mut q, u64::MAX, EventKey::emitted(7, 0), timer(7, 1));
-                }
-                seen.push((ev.at, ev.key));
+        let mut q = EventQueue::default();
+        push(&mut q, u64::MAX, EventKey::scheduled(0), crash(1));
+        push(&mut q, u64::MAX - 1, EventKey::emitted(3, 0), timer(3, 1));
+        push(&mut q, 7, EventKey::emitted(1, 0), timer(1, 1));
+        push(&mut q, u64::MAX, EventKey::emitted(2, 5), timer(2, 2));
+        let mut seen = Vec::new();
+        while let Some(ev) = q.pop() {
+            // Once the floor sits one tick below u64::MAX, push an entry at
+            // u64::MAX itself: this is admitted *into a bucket* (at - floor
+            // = 1), so the bucket scan runs at the very top of the tick range.
+            if ev.at == u64::MAX - 1 {
+                push(&mut q, u64::MAX, EventKey::emitted(7, 0), timer(7, 1));
             }
-            assert_eq!(
-                seen,
-                vec![
-                    (7, EventKey::emitted(1, 0)),
-                    (u64::MAX - 1, EventKey::emitted(3, 0)),
-                    (u64::MAX, EventKey::scheduled(0)),
-                    (u64::MAX, EventKey::emitted(2, 5)),
-                    (u64::MAX, EventKey::emitted(7, 0)),
-                ],
-                "reference heap: {reference}"
-            );
-            assert!(q.is_empty());
+            seen.push((ev.at, ev.key));
         }
+        assert_eq!(
+            seen,
+            vec![
+                (7, EventKey::emitted(1, 0)),
+                (u64::MAX - 1, EventKey::emitted(3, 0)),
+                (u64::MAX, EventKey::scheduled(0)),
+                (u64::MAX, EventKey::emitted(2, 5)),
+                (u64::MAX, EventKey::emitted(7, 0)),
+            ]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -502,72 +400,15 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        for reference in [false, true] {
-            let mut q = queue(reference);
-            for i in 0..64u64 {
-                push(&mut q, (i * 13) % 40, EventKey::emitted((i % 7) as u32, i), timer(0, i));
-                push(&mut q, (i * 5) % 40, EventKey::scheduled(i), crash(i));
-            }
-            while let Some(at) = q.peek_at() {
-                let ev = q.pop().expect("peeked entry pops");
-                assert_eq!(ev.at, at);
-            }
-            assert!(q.is_empty());
+        let mut q = EventQueue::default();
+        for i in 0..64u64 {
+            push(&mut q, (i * 13) % 40, EventKey::emitted((i % 7) as u32, i), timer(0, i));
+            push(&mut q, (i * 5) % 40, EventKey::scheduled(i), crash(i));
         }
-    }
-
-    /// A scenario's simulation, its queue on the wheel or on the reference
-    /// heap.
-    fn build(scenario: &Scenario, reference: bool) -> Simulation {
-        let mut sim = scenario.build_sim();
-        if reference {
-            use_reference(&mut sim.world.events);
+        while let Some(at) = q.peek_at() {
+            let ev = q.pop().expect("peeked entry pops");
+            assert_eq!(ev.at, at);
         }
-        sim
-    }
-
-    /// Step a scenario to its deadline, recording the full
-    /// `(now, sent_total, proposal_hops)` trace after every event.
-    fn trace(scenario: &Scenario, reference: bool) -> Vec<(u64, u64, u64)> {
-        let mut sim = build(scenario, reference);
-        let mut out = Vec::new();
-        while sim.peek_at().is_some_and(|at| at <= scenario.duration) {
-            sim.step();
-            out.push((sim.now, sim.metrics.sent_total, sim.metrics.proposal_hops()));
-        }
-        out
-    }
-
-    #[test]
-    fn timer_wheel_matches_reference_heap_ordering() {
-        // The wheel and the pure-heap reference produce byte-identical
-        // traces, event for event, even when many events share one tick.
-        for seed in [1u64, 7, 23, 0xDEAD_BEEF] {
-            for scenario in scenarios(seed) {
-                let wheel = trace(&scenario, false);
-                let heap = trace(&scenario, true);
-                assert_eq!(
-                    wheel, heap,
-                    "seed {seed}, scenario '{}': wheel and reference heap diverged",
-                    scenario.name
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn outcomes_agree_between_queue_kinds() {
-        // Beyond counters: the final membership views are identical too.
-        for seed in [3u64, 11] {
-            for scenario in scenarios(seed) {
-                let mut wheel = build(&scenario, false);
-                wheel.run_until(scenario.duration);
-                let mut heap = build(&scenario, true);
-                heap.run_until(scenario.duration);
-                let a = ScenarioOutcome::from_sim(&wheel);
-                let b = ScenarioOutcome::from_sim(&heap);
-                assert_eq!(a, b, "seed {seed}, scenario '{}'", scenario.name);
-            }
-        }
+        assert!(q.is_empty());
     }
 }

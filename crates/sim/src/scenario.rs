@@ -18,7 +18,7 @@ use crate::mobility::{MobilityModel, TimedEvent};
 use crate::network::NetConfig;
 use crate::par::ParSimulation;
 use crate::sim::Simulation;
-use crate::workload::{churn, ChurnParams};
+use crate::workload::{churn, members_after, ChurnParams};
 use rgb_core::prelude::*;
 use rgb_core::topology::HierarchyLayout;
 use std::collections::{BTreeMap, BTreeSet};
@@ -410,23 +410,10 @@ impl Scenario {
     /// (joins/handoffs/resumes minus leaves/failures/disconnects), for
     /// oracle checks and settle loops.
     pub fn expected_guids(&self) -> BTreeSet<Guid> {
-        let mut present = BTreeSet::new();
-        for action in self.plan() {
-            let PlannedAction::Mh((_, _, event)) = action else { continue };
-            match event {
-                MhEvent::Join { guid, .. }
-                | MhEvent::HandoffIn { guid, .. }
-                | MhEvent::Resume { guid, .. } => {
-                    present.insert(guid);
-                }
-                MhEvent::Leave { guid }
-                | MhEvent::FailureDetected { guid }
-                | MhEvent::Disconnect { guid } => {
-                    present.remove(&guid);
-                }
-            }
-        }
-        present
+        members_after(self.plan().filter_map(|action| match action {
+            PlannedAction::Mh(event) => Some(event),
+            _ => None,
+        }))
     }
 
     /// The whole schedule in the one canonical order: partition windows,

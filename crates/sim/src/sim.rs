@@ -15,7 +15,6 @@
 
 use crate::metrics::Metrics;
 use crate::network::{LinkClassMatrix, NetConfig, NetworkModel};
-use crate::rng::SplitMix64;
 use crate::world::{Run, Schedule, World};
 use bytes::Bytes;
 use rgb_core::node::NodeState;
@@ -38,9 +37,6 @@ pub struct Simulation {
     pub(crate) world: World,
     /// Scheduled-event keys and the wireless MH→AP hop.
     schedule: Schedule,
-    /// Root stream handed to callers via [`Simulation::rng`] (workload
-    /// generators fork from it); the engine itself never draws from it.
-    root_rng: SplitMix64,
 }
 
 impl Simulation {
@@ -56,14 +52,7 @@ impl Simulation {
         let net = NetworkModel::new(net);
         let schedule = Schedule::new(seed, layout.gid, net.clone());
         let world = World::new(&layout, cfg, net, seed, indexer, classes, None);
-        Simulation {
-            layout,
-            now: 0,
-            metrics: Metrics::default(),
-            world,
-            schedule,
-            root_rng: SplitMix64::new(seed),
-        }
+        Simulation { layout, now: 0, metrics: Metrics::default(), world, schedule }
     }
 
     /// The world on this simulation's clock and metrics.
@@ -325,14 +314,6 @@ impl Simulation {
             .ring(ring)
             .map(|spec| spec.nodes.iter().copied().filter(|&n| !self.is_crashed(n)).collect())
             .unwrap_or_default()
-    }
-
-    /// Mutable access to the deterministic root RNG (workload generators
-    /// fork their streams from here). The engine itself never draws from
-    /// this stream — every node and every mobile host has a private one —
-    /// so caller draws cannot perturb a run.
-    pub fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.root_rng
     }
 
     /// Number of queued events (stale timer entries included) — the

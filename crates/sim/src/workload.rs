@@ -5,6 +5,7 @@ use crate::mobility::TimedEvent;
 use crate::rng::SplitMix64;
 use rgb_core::prelude::*;
 use rgb_core::topology::HierarchyLayout;
+use std::collections::BTreeSet;
 
 /// Parameters of a churn workload.
 #[derive(Debug, Clone, Copy)]
@@ -85,23 +86,29 @@ pub fn churn(layout: &HierarchyLayout, params: ChurnParams, seed: u64) -> Vec<Ti
 /// Expected final operational membership of a schedule (joins minus
 /// departures), for oracle checks.
 pub fn expected_members(events: &[TimedEvent]) -> usize {
-    use std::collections::BTreeSet;
-    let mut present: BTreeSet<Guid> = BTreeSet::new();
-    for (_, _, e) in events {
-        match e {
+    members_after(events.iter().copied()).len()
+}
+
+/// The members a schedule leaves in the group, folding `events` in the
+/// order given: a join, handoff-in or resume adds the GUID, a leave,
+/// detected failure or disconnect removes it.
+pub(crate) fn members_after(events: impl IntoIterator<Item = TimedEvent>) -> BTreeSet<Guid> {
+    let mut present = BTreeSet::new();
+    for (_, _, event) in events {
+        match event {
             MhEvent::Join { guid, .. }
             | MhEvent::HandoffIn { guid, .. }
             | MhEvent::Resume { guid, .. } => {
-                present.insert(*guid);
+                present.insert(guid);
             }
             MhEvent::Leave { guid }
             | MhEvent::FailureDetected { guid }
             | MhEvent::Disconnect { guid } => {
-                present.remove(guid);
+                present.remove(&guid);
             }
         }
     }
-    present.len()
+    present
 }
 
 #[cfg(test)]

@@ -1,9 +1,7 @@
 // The scenario matrix of the engine-determinism tests: same-tick
 // collisions (instant + unit latency), loss, churn, loss + churn, and
-// crashes. `tests/engine_determinism.rs` runs it on the default engine and
-// the simulator's queue tests (`src/queue.rs`) on the wheel against the
-// pure-heap reference ordering: both `include!` this file, so both judge
-// the same scenarios. The including module supplies the imports.
+// crashes. `tests/engine_determinism.rs` `include!`s this file and runs it
+// on the sequential engine; the including module supplies the imports.
 
 /// The scenarios for `seed`.
 fn scenarios(seed: u64) -> Vec<Scenario> {

@@ -117,7 +117,7 @@ mod tests {
 
     #[test]
     fn hierarchy_estimate_matches_formula_8() {
-        // Moderate sizes keep the test fast; `table2_mc` sweeps the full grid.
+        // Moderate sizes keep the test fast; experiment E4 sweeps the full grid.
         for &(h, r, f, k) in &[(3u32, 5u64, 0.005f64, 1u32), (3, 5, 0.02, 3), (2, 10, 0.01, 2)] {
             let est = estimate_hierarchy_fw(h, r, f, k, 100_000, 7);
             let truth = prob_fw_hierarchy(h, r, f, k);
@@ -146,7 +146,7 @@ mod tests {
         // Absolute pins of the sampled stream: a change to the generator,
         // its seeding or the draw order moves these counts even when every
         // estimate stays statistically consistent. The first case is the
-        // (n = 1000, f = 2%, k = 3) cell of `table2_mc -- 20000`.
+        // (n = 1000, f = 2%, k = 3) cell of `experiments E4 --trials 20000`.
         for &(h, r, f, k, trials, seed, successes) in &[
             (3u32, 10u64, 0.02f64, 3u32, 20_000u64, 0xFEED + 3, 14_559u64),
             (3, 5, 0.1, 2, 10_000, 9, 2_777),

@@ -1,9 +1,8 @@
-//! Experiments E2/E4 as assertions: the protocol simulator and the
-//! Monte-Carlo sampler against the closed-form models.
+//! Experiment E2 on single shapes: one simulated membership change
+//! against the closed-form ring cost, formula (6).
 
-use rgb::analysis::montecarlo::estimate_hierarchy_fw;
-use rgb::analysis::{hcn_ring, prob_fw_hierarchy};
-use rgb_bench::measure_change;
+use rgb::analysis::hcn_ring;
+use rgb_bench::experiments::measure_change;
 use rgb_sim::NetConfig;
 
 #[test]
@@ -37,29 +36,4 @@ fn measured_hops_scale_like_the_formula_across_sizes() {
         (measured_growth / analytic_growth - 1.0).abs() < 0.10,
         "growth {measured_growth} vs {analytic_growth}"
     );
-}
-
-#[test]
-fn monte_carlo_agrees_with_formula_8_on_table_ii_corners() {
-    for &(h, r, f, k) in &[(3u32, 5u64, 0.02f64, 1u32), (3, 10, 0.02, 3), (3, 5, 0.005, 1)] {
-        let est = estimate_hierarchy_fw(h, r, f, k, 60_000, 99);
-        let truth = prob_fw_hierarchy(h, r, f, k);
-        assert!(
-            est.consistent_with(truth),
-            "h={h} r={r} f={f} k={k}: mc {} vs formula {truth}",
-            est.p_hat
-        );
-    }
-}
-
-#[test]
-fn latency_is_dominated_by_hierarchy_depth_not_size() {
-    // Two hierarchies of very different size but equal height have similar
-    // first-notification latency (the ascent crosses the same number of
-    // levels); the larger one costs far more messages.
-    let small = measure_change(3, 3, NetConfig::default(), 3);
-    let large = measure_change(3, 8, NetConfig::default(), 3);
-    assert!(large.proposal_hops > 5 * small.proposal_hops);
-    let ratio = large.latency_to_root as f64 / small.latency_to_root as f64;
-    assert!(ratio < 3.0, "latency ratio {ratio} too large for equal depth");
 }

@@ -33,28 +33,30 @@ impl NodeState {
         height: usize,
     ) -> Self {
         let tier = Tier::for_level(level.min(height - 1), height);
-        NodeState {
-            cfg,
-            gid,
+        let mut node = NodeState {
             id,
+            last_token_seq: 0,
+            parent: None,
+            succ: None,
+            gid,
+            has_token: true, // its own ring's token parks here
+            ring_ok: true,
+            parent_ok: false,
+            token_seen_since_lost: false,
+            roster: RingRoster::new(ring, tier, level, vec![id]),
+            children: BTreeMap::new(),
+            cfg,
+            mq: MessageQueue::new(),
+            inflight: None,
+            stats: Default::default(),
             tier,
             level,
             height,
-            roster: RingRoster::new(ring, tier, level, vec![id]),
-            parent: None,
             parent_ring: None,
-            children: BTreeMap::new(),
-            ring_ok: true,
-            parent_ok: false,
             local_members: MemberList::new(),
             ring_members: MemberList::new(),
             neighbor_members: MemberList::new(),
-            mq: MessageQueue::new(),
-            stats: Default::default(),
             level_ring_counts: vec![1; height],
-            has_token: true, // its own ring's token parks here
-            last_token_seq: 0,
-            inflight: None,
             epoch: 0,
             next_change_seq: 0,
             next_query_seq: 0,
@@ -62,8 +64,9 @@ impl NodeState {
             parent_roster_cache: Vec::new(),
             attach_attempts: 0,
             awaiting_ack: BTreeMap::new(),
-            token_seen_since_lost: false,
-        }
+        };
+        node.roster_changed();
+        node
     }
 
     /// Ask `contact` (a member of the target ring) to admit this node.
@@ -115,6 +118,7 @@ impl NodeState {
         self.tier = Tier::for_level(self.level.min(self.height - 1), self.height);
         self.roster =
             RingRoster::new(snapshot.ring, self.tier, self.level, snapshot.roster.clone());
+        self.roster_changed();
         self.ring_members = snapshot.members;
         self.epoch = snapshot.epoch;
         // Accept the round currently in flight (it carries our NE-Join);

@@ -7,6 +7,31 @@
 //! Behaviour lives in the `protocol`, `query` and `handoff` modules, all of
 //! which are `impl NodeState` blocks — the struct itself is pure data plus
 //! small accessors.
+//!
+//! # Hot-path layout
+//!
+//! A token hop is the protocol's steady-state cost: on a large fleet the
+//! token and its ack are most of the events and most of the time, and each
+//! lands on a node whose state has gone cold since the token's last lap. So
+//! [`NodeState`] is `#[repr(C, align(64))]` and declares first, in this
+//! order, what a hop, its ack, the heartbeat tick and the token timers
+//! read: `id`, `last_token_seq`, `parent`, the cached successor `succ`,
+//! `gid`, the four flags (`has_token`, `ring_ok`, `parent_ok`,
+//! `token_seen_since_lost`), `roster`, `children`, `cfg`, `mq`, `inflight`
+//! and `stats`. That hot block is 408 bytes and sits in the first seven
+//! cache lines of every node; membership lists, query state and
+//! re-attachment state follow. The whole struct is ten lines (640 bytes),
+//! and `align(64)` adds no padding. A test pins both numbers: a new field
+//! goes below the hot block unless the token hop reads it.
+//!
+//! `succ` is the paper's `Next` pointer. The hop reads it through
+//! [`NodeState::next`] instead of scanning the roster for its own position.
+//! It is refreshed in one place, `roster_changed`, which every roster
+//! change calls: both constructors, the ring sync a joiner installs, a
+//! local exclusion, and the NE-Join, NE-Leave and NE-Failure records.
+//! `next()` `debug_assert`s the cache against a fresh scan. `roster` stays
+//! `pub` for reading, but it is read-only outside `rgb_core`: a change made
+//! from outside would skip the refresh.
 
 use crate::config::{MembershipScheme, ProtocolConfig};
 use crate::ids::{GroupId, NodeId, RingId, Tier};
@@ -71,35 +96,59 @@ pub struct NodeStats {
 }
 
 /// The full protocol state of one network entity.
+///
+/// Laid out hot-first (see the module doc's "Hot-path layout"): the fields
+/// a token hop reads fill the first seven cache lines.
 #[derive(Debug, Clone)]
+#[repr(C, align(64))]
 pub struct NodeState {
-    /// Protocol configuration.
-    pub cfg: ProtocolConfig,
-    /// Group served (paper: `GID`).
-    pub gid: GroupId,
+    // --- hot block: read by every token hop, ack, heartbeat and token timer ---
     /// This node (paper: `Current`).
     pub id: NodeId,
+    /// Highest round number seen on this ring.
+    pub(crate) last_token_seq: u64,
+    /// Sponsor of this ring, one level up (paper: `Parent`). `None` at the
+    /// topmost ring.
+    pub parent: Option<NodeId>,
+    /// Successor on the ring (paper: `Next`), cached from `roster` by
+    /// `roster_changed` whenever the roster changes.
+    pub(crate) succ: Option<NodeId>,
+    /// Group served (paper: `GID`).
+    pub gid: GroupId,
+    /// The token is parked at this node.
+    pub(crate) has_token: bool,
+    /// `RingOK`: the token circulates normally on this ring.
+    pub ring_ok: bool,
+    /// `ParentOK`: parent exists and its ring functions well.
+    pub parent_ok: bool,
+    /// Whether a token has been sighted since the last TokenLost expiry
+    /// (two consecutive silent expiries escalate to leader exclusion).
+    pub(crate) token_seen_since_lost: bool,
+    /// Roster of this node's logical ring (provides `Leader`, `Previous`,
+    /// `Next`). Read-only outside `rgb_core`: every change goes through
+    /// `roster_changed`.
+    pub roster: RingRoster,
+    /// Sponsored child rings (paper: `Child`; plural to support adoption
+    /// after faults).
+    pub children: BTreeMap<RingId, ChildLink>,
+    /// Protocol configuration.
+    pub cfg: ProtocolConfig,
+    /// `MQ`: the self-aggregating message queue.
+    pub mq: MessageQueue,
+    /// Outstanding forwarded token awaiting ack.
+    pub(crate) inflight: Option<Inflight>,
+    /// Counters.
+    pub stats: NodeStats,
+
+    // --- cold: membership lists, queries, re-attachment ---
     /// Tier of this node.
     pub tier: Tier,
     /// Ring level (0 = topmost).
     pub level: usize,
     /// Height of the whole hierarchy.
     pub height: usize,
-    /// Roster of this node's logical ring (provides `Leader`, `Previous`,
-    /// `Next`).
-    pub roster: RingRoster,
-    /// Sponsor of this ring, one level up (paper: `Parent`). `None` at the
-    /// topmost ring.
-    pub parent: Option<NodeId>,
     /// Ring of the sponsor.
     pub parent_ring: Option<RingId>,
-    /// Sponsored child rings (paper: `Child`; plural to support adoption
-    /// after faults).
-    pub children: BTreeMap<RingId, ChildLink>,
-    /// `RingOK`: the token circulates normally on this ring.
-    pub ring_ok: bool,
-    /// `ParentOK`: parent exists and its ring functions well.
-    pub parent_ok: bool,
     /// `ListOfLocalMembers`: MHs attached to this node (APs only).
     pub local_members: MemberList,
     /// `ListOfRingMembers`: operational members under the coverage of this
@@ -108,21 +157,9 @@ pub struct NodeState {
     /// `ListOfNeighborMembers`: members attached to this node's ring
     /// neighbours, for fast handoff.
     pub neighbor_members: MemberList,
-    /// `MQ`: the self-aggregating message queue.
-    pub mq: MessageQueue,
-    /// Counters.
-    pub stats: NodeStats,
     /// Number of rings per level in the hierarchy (for query fan-out
     /// accounting).
     pub level_ring_counts: Vec<usize>,
-
-    // --- token machinery (crate-visible for tests) ---
-    /// The token is parked at this node.
-    pub(crate) has_token: bool,
-    /// Highest round number seen on this ring.
-    pub(crate) last_token_seq: u64,
-    /// Outstanding forwarded token awaiting ack.
-    pub(crate) inflight: Option<Inflight>,
     /// Ring view epoch (bumped on every loaded round executed).
     pub epoch: u64,
     /// Next local change sequence number.
@@ -138,9 +175,6 @@ pub struct NodeState {
     pub(crate) attach_attempts: usize,
     /// Change ids this node originated and not yet seen agreed.
     pub(crate) awaiting_ack: BTreeMap<ChangeId, ()>,
-    /// Whether a token has been sighted since the last TokenLost expiry
-    /// (two consecutive silent expiries escalate to leader exclusion).
-    pub(crate) token_seen_since_lost: bool,
 }
 
 impl NodeState {
@@ -206,28 +240,30 @@ impl NodeState {
                 .ok_or(crate::error::RgbError::EmptyRing(cr))?;
             children.insert(cr, ChildLink { leader, ok: true });
         }
-        Ok(NodeState {
-            cfg,
-            gid: layout.gid,
+        let mut node = NodeState {
             id,
+            last_token_seq: 0,
+            parent: placement.parent_node,
+            succ: None,
+            gid: layout.gid,
+            has_token: false,
+            ring_ok: true,
+            parent_ok: placement.parent_node.is_some(),
+            token_seen_since_lost: false,
+            roster,
+            children,
+            cfg,
+            mq: MessageQueue::new(),
+            inflight: None,
+            stats: NodeStats::default(),
             tier: placement.tier,
             level: placement.level,
             height: level_ring_counts.len(),
-            roster,
-            parent: placement.parent_node,
             parent_ring: placement.parent_ring,
-            children,
-            ring_ok: true,
-            parent_ok: placement.parent_node.is_some(),
             local_members: MemberList::new(),
             ring_members: MemberList::new(),
             neighbor_members: MemberList::new(),
-            mq: MessageQueue::new(),
-            stats: NodeStats::default(),
             level_ring_counts: level_ring_counts.to_vec(),
-            has_token: false,
-            last_token_seq: 0,
-            inflight: None,
             epoch: 0,
             next_change_seq: 0,
             next_query_seq: 0,
@@ -235,8 +271,15 @@ impl NodeState {
             parent_roster_cache: Vec::new(),
             attach_attempts: 0,
             awaiting_ack: BTreeMap::new(),
-            token_seen_since_lost: false,
-        })
+        };
+        node.roster_changed();
+        Ok(node)
+    }
+
+    /// Refresh the cached successor (paper: `Next`) from the roster. Every
+    /// roster change calls this before the node handles another input.
+    pub(crate) fn roster_changed(&mut self) {
+        self.succ = self.roster.next_of(self.id).ok();
     }
 
     /// This node's ring id.
@@ -256,7 +299,8 @@ impl NodeState {
 
     /// Successor on the ring (paper: `Next`).
     pub fn next(&self) -> Option<NodeId> {
-        self.roster.next_of(self.id).ok()
+        debug_assert_eq!(self.succ, self.roster.next_of(self.id).ok(), "stale successor cache");
+        self.succ
     }
 
     /// Predecessor on the ring (paper: `Previous`).
@@ -443,6 +487,125 @@ mod tests {
             assert_eq!(direct.digest(), shared.digest());
             assert_eq!(shared.level_ring_counts, counts);
         }
+    }
+
+    /// The hot block (module doc, "Hot-path layout") fits the first seven
+    /// cache lines and the whole node is ten lines.
+    #[test]
+    fn hot_block_fills_the_first_seven_cache_lines() {
+        use std::mem::{align_of, offset_of, size_of, size_of_val};
+        assert_eq!(size_of::<NodeState>(), 640, "NodeState grew past ten cache lines");
+        assert_eq!(align_of::<NodeState>(), 64);
+        let n =
+            NodeState::from_layout(&layout_h3_r3(), NodeId(1), ProtocolConfig::default()).unwrap();
+        // Where each hot field ends, in bytes from the start of the node.
+        macro_rules! end {
+            ($($field:ident),*) => {
+                [$((stringify!($field), offset_of!(NodeState, $field) + size_of_val(&n.$field))),*]
+            };
+        }
+        let ends = end!(
+            id,
+            last_token_seq,
+            parent,
+            succ,
+            gid,
+            has_token,
+            ring_ok,
+            parent_ok,
+            token_seen_since_lost,
+            roster,
+            children,
+            cfg,
+            mq,
+            inflight,
+            stats
+        );
+        for (field, end) in ends {
+            assert!(
+                end <= 7 * 64,
+                "hot field `{field}` ends at byte {end}, past the seven-line hot block: \
+                 a new field goes below the hot block unless the token hop reads it"
+            );
+        }
+    }
+
+    /// Every roster-changing path leaves `next()` equal to a fresh roster
+    /// scan at every node: construction, `standalone`, NE-Join with its
+    /// ring sync, NE-Leave, exclusion by retransmit exhaustion with the
+    /// NE-Failure it queues, and a merge. Runs in release too, where the
+    /// `debug_assert` in `next()` does not.
+    #[test]
+    fn cached_successor_follows_every_roster_change() {
+        use crate::events::{Input, Output};
+        use crate::testing::Loopback;
+        fn coherent(net: &Loopback, step: &str) {
+            for (id, n) in &net.nodes {
+                assert_eq!(n.next(), n.roster.next_of(n.id).ok(), "{step}: stale `Next` at {id}");
+            }
+        }
+        fn send_all(net: &mut Loopback, from: NodeId, outs: Vec<Output>) {
+            for out in outs {
+                if let Output::Send { to, msg } = out {
+                    net.inject(to, Input::Msg { from, msg });
+                }
+            }
+        }
+        // Continuous rounds, so the NE-Failure a repair queues rides the
+        // next round without waiting for another change.
+        let mut cfg = ProtocolConfig::live();
+        cfg.token_interval = 10;
+        cfg.token_retransmit_timeout = 5;
+        cfg.token_retransmit_limit = 1;
+        cfg.token_lost_timeout = 150;
+        let layout = HierarchySpec::new(1, 4).build(GroupId(1)).unwrap();
+        let mut net = Loopback::from_layout(&layout, &cfg);
+        net.boot_all();
+        net.run_until(100);
+        coherent(&net, "construction");
+
+        let joiner = NodeId(100);
+        let node = NodeState::standalone(cfg.clone(), GroupId(1), joiner, RingId(900), 0, 1);
+        assert_eq!(node.next(), Some(joiner));
+        net.nodes.insert(joiner, node);
+        coherent(&net, "standalone");
+        let outs = net.nodes.get_mut(&joiner).unwrap().request_join(NodeId(0));
+        send_all(&mut net, joiner, outs);
+        // The contact's ring sync reaches the joiner before the NE-Join
+        // round does.
+        while net.node(joiner).roster.len() == 1 {
+            assert!(net.step_message(), "no ring sync for the joiner");
+        }
+        coherent(&net, "ring sync");
+        net.run_until(net.now + 2_000);
+        assert!(net.nodes.values().all(|n| n.roster.contains(joiner)));
+        coherent(&net, "NE-Join");
+
+        let leaver = NodeId(2);
+        let outs = net.nodes.get_mut(&leaver).unwrap().request_leave();
+        send_all(&mut net, leaver, outs);
+        net.run_until(net.now + 2_000);
+        net.crash(leaver);
+        assert!(!net.node(NodeId(0)).roster.contains(leaver));
+        coherent(&net, "NE-Leave");
+
+        let victim = NodeId(3);
+        net.crash(victim);
+        net.run_until(net.now + 2_000);
+        let excluded: u64 = net.nodes.values().map(|n| n.stats.exclusions).sum();
+        assert!(excluded >= 1, "nobody excluded the crashed successor");
+        for (&id, n) in &net.nodes {
+            assert!(net.crashed.contains(&id) || !n.roster.contains(victim), "{id} kept {victim}");
+        }
+        coherent(&net, "exclusion and NE-Failure");
+
+        let other = NodeId(200);
+        net.nodes.insert(other, NodeState::standalone(cfg, GroupId(1), other, RingId(901), 0, 1));
+        let outs = net.nodes.get_mut(&other).unwrap().propose_merge(NodeId(0));
+        send_all(&mut net, other, outs);
+        net.run_until(net.now + 2_000);
+        assert!(net.node(other).roster.len() > 1 && net.node(NodeId(0)).roster.contains(other));
+        coherent(&net, "merge");
     }
 
     #[test]

@@ -205,7 +205,7 @@ impl NodeState {
                 break;
             }
             self.has_token = false;
-            let target = self.roster.next_of(self.id).expect("self on roster");
+            let target = self.next().expect("self on roster");
             self.forward_token(token, target, outs);
             break;
         }
@@ -294,7 +294,7 @@ impl NodeState {
         if !self.mq.is_empty() {
             token.note_pending(self.id);
         }
-        let target = self.roster.next_of(self.id).unwrap_or(token.holder);
+        let target = self.next().unwrap_or(token.holder);
         self.forward_token(token, target, outs);
     }
 
@@ -343,7 +343,7 @@ impl NodeState {
     /// Continuous-policy rotation (design decision D2): pass holdership to
     /// `Next`, or keep it when rotation is disabled.
     fn rotate_or_keep(&mut self, token: &Token, outs: &mut Vec<Output>) {
-        let next = self.roster.next_of(self.id).unwrap_or(self.id);
+        let next = self.next().unwrap_or(self.id);
         if !self.cfg.rotate_holder || next == self.id {
             self.has_token = true;
             outs.push(Output::SetTimer {
@@ -464,7 +464,7 @@ impl NodeState {
             }
             return;
         }
-        let target = self.roster.next_of(self.id).expect("non-empty roster");
+        let target = self.next().expect("non-empty roster");
         self.forward_token(token, target, outs);
     }
 
@@ -475,6 +475,7 @@ impl NodeState {
         if !self.roster.remove(bad) {
             return;
         }
+        self.roster_changed();
         self.stats.exclusions += 1;
         outs.push(Output::Deliver(AppEvent::RingRepaired { ring: self.ring_id(), excluded: bad }));
         self.mq.retain_not_about_node(bad);
@@ -593,6 +594,7 @@ impl NodeState {
                 if *ring == self.ring_id() {
                     let old_leader = self.roster.leader();
                     self.roster.insert_after(*node, None);
+                    self.roster_changed();
                     self.after_roster_change(old_leader, outs);
                 }
             }
@@ -600,6 +602,7 @@ impl NodeState {
                 if *ring == self.ring_id() && *node != self.id {
                     let old_leader = self.roster.leader();
                     self.roster.remove(*node);
+                    self.roster_changed();
                     self.after_roster_change(old_leader, outs);
                 }
             }

@@ -3,9 +3,9 @@
 //! **identical seeds ⇒ identical runs** — re-running a scenario yields a
 //! byte-identical step trace — and different seeds do not.
 //!
-//! That the timer wheel reproduces the pure-heap reference ordering is
-//! asserted on the same scenarios (`common/determinism.rs`) inside the
-//! crate, where the test-only reference queue lives (`src/queue.rs`).
+//! The scenario matrix lives in `common/determinism.rs`. There is one event
+//! queue, the shipped timer wheel; its pop order is checked against a sorted
+//! set by `rgb_core::wheel`'s own tests.
 
 use rgb_core::prelude::*;
 use rgb_sim::workload::ChurnParams;
